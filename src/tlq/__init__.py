@@ -19,11 +19,9 @@ from .cellrep import (
     quotient_labels,
     simple_dim_altsum,
     simple_dim_rank,
-    simple_q_modules,
 )
 from .clifford import (
     BladeElement,
-    blade_multiply,
     constant_term_trace,
     gamma,
     image_dimension,
@@ -89,7 +87,6 @@ from .tlalg import (
     jones_trace,
     jones_wenzl,
     jones_wenzl_by_recursion,
-    multiply,
     radical_split,
     trace_gram_matrix,
     trace_gram_rank,

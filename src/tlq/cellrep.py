@@ -3,8 +3,9 @@ rank and by the alternating sum over the reflection orbit, and the
 classification checks for the semisimple quotient.
 
 The dimension of the simple head L_t is *defined* computationally as the
-rank of the cell Gram matrix; the representation-theoretic formulas are
-cross-checks computed by independent routes.
+rank of the cell Gram matrix, found by exact Gaussian elimination over
+Q(zeta_{2l}); the representation-theoretic formulas are cross-checks
+computed by independent routes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _intlinalg
 from .diagram import (
     Diagram,
     compose_pairings,
@@ -27,8 +27,6 @@ from .diagram import (
 )
 from .exactnum import CycNum, CyclotomicField, ExactMatrix, cyclotomic_field
 from .tlalg import TLElement, _delta_powers, embedded_jones_wenzl
-
-_EXACT_CELL_LIMIT = 110
 
 
 def admissible_t(n: int) -> tuple[int, ...]:
@@ -203,55 +201,10 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
 
 
 @lru_cache(maxsize=None)
-def _delta_companion_powers(level: int, upto: int) -> np.ndarray:
-    """Stack of integer matrices representing delta^k on Z[delta], with a
-    zero block appended at index upto+1 for vanished entries."""
-    field = cyclotomic_field(level)
-    mp = field.delta_minpoly()
-    dr = len(mp) - 1
-    comp = np.zeros((dr, dr), dtype=np.int64)
-    for j in range(dr - 1):
-        comp[j + 1, j] = 1
-    comp[:, dr - 1] = [-c for c in mp[:dr]]
-    pows = [np.eye(dr, dtype=np.int64)]
-    for _ in range(upto):
-        pows.append(comp @ pows[-1])
-    pows.append(np.zeros((dr, dr), dtype=np.int64))
-    out = np.stack(pows)
-    out.setflags(write=False)
-    return out
-
-
-def _rank_from_exponents(expo: np.ndarray, level: int) -> int:
-    """Exact rank over Q(delta) of the matrix (delta^expo, -1 meaning 0), via
-    the integer regular-representation blowup: rank_Q = dr * rank_{Q(delta)}."""
-    size = expo.shape[0]
-    if size == 0:
-        return 0
-    top = int(expo.max(initial=0))
-    pows = _delta_companion_powers(level, top)
-    dr = pows.shape[1]
-    idx = np.where(expo < 0, top + 1, expo).astype(np.intp)
-    blocks = pows[idx]  # (size, size, dr, dr)
-    big = blocks.transpose(0, 2, 1, 3).reshape(size * dr, size * dr)
-    rank = _intlinalg.certified_rank(big)
-    if rank % dr:
-        raise ArithmeticError("blowup rank is not divisible by the field degree")
-    return rank // dr
-
-
-@lru_cache(maxsize=None)
-def simple_dim_rank(t: int, n: int, level: int, method: str = "auto") -> int:
-    """dim L_t(n) as the exact rank of the cell Gram matrix."""
-    if t not in admissible_t(n):
-        raise ValueError("t is not admissible for n")
-    expo = _cell_gram_exponents(t, n)
-    size = expo.shape[0]
-    if method not in ("auto", "exact", "certified"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and size <= _EXACT_CELL_LIMIT):
-        return gram_matrix(t, n, level).rank()
-    return _rank_from_exponents(expo, level)
+def simple_dim_rank(t: int, n: int, level: int) -> int:
+    """dim L_t(n) as the rank of the cell Gram matrix, by exact elimination
+    over Q(zeta_{2l}); exact elimination is its own certificate."""
+    return gram_matrix(t, n, level).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +247,10 @@ def simple_dim_altsum(t: int, n: int, level: int) -> int:
     return total
 
 
-def simple_q_modules(n: int, level: int) -> tuple[int, ...]:
-    """Labels of the simple modules of the semisimple quotient: the
-    admissible t with t <= level - 2."""
-    if n < level - 1:
-        raise ValueError("the quotient is defined for n >= level - 1")
-    return tuple(t for t in admissible_t(n) if t <= level - 2)
-
-
 def quotient_labels(level: int, n: int) -> tuple[int, ...]:
-    """Like :func:`simple_q_modules` but also valid below n = level - 1,
-    where the quotient coincides with the whole algebra."""
+    """Labels of the simple modules of the semisimple quotient: the
+    admissible t with t <= level - 2.  Below n = level - 1 the quotient
+    coincides with the whole algebra."""
     return tuple(t for t in admissible_t(n) if t <= level - 2)
 
 

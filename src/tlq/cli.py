@@ -38,7 +38,6 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
     max_rank_n: int = 12
-    seed: int = 0
 
     def __post_init__(self):
         if self.level < 3:
@@ -171,7 +170,6 @@ def cmd_dims(args: argparse.Namespace) -> int:
         fmt=args.format,
         out=args.out,
         max_rank_n=args.max_rank_n,
-        seed=args.seed,
     )
     table = compute_dims(config)
     _emit(table.payload(), config.fmt, config.out)
@@ -329,11 +327,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kwargs["order"] = args.K
     if args.suite == "gram":
         kwargs["level"] = args.level
-        kwargs["max_n"] = args.max_n
-    if args.suite in ("ising", "fibonacci", "level6", "q3", "clifford", "classification"):
-        kwargs["max_n"] = args.max_n
-    if args.suite == "radical":
-        kwargs["max_n"] = min(args.max_n, 8)
+    # Without --max-n each suite keeps its own default.
+    if args.max_n is not None:
+        if args.suite in ("ising", "fibonacci", "level6", "q3", "clifford", "classification", "gram"):
+            kwargs["max_n"] = args.max_n
+        if args.suite == "radical":
+            kwargs["max_n"] = min(args.max_n, 8)
     if args.suite in ("properties", "clifford"):
         kwargs["seed"] = args.seed
     report = suite(**kwargs)
@@ -344,18 +343,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_DISAGREE
-
-
-_SUITE_DEFAULT_MAX_N = {
-    "ising": 12,
-    "fibonacci": 12,
-    "level6": 10,
-    "radical": 8,
-    "classification": 10,
-    "q3": 8,
-    "gram": 8,
-    "clifford": 8,
-}
 
 
 def build_parser() -> _Parser:
@@ -419,8 +406,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "max_n", None) is None and args.command == "verify":
-        args.max_n = _SUITE_DEFAULT_MAX_N.get(args.suite, 8)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -142,10 +142,6 @@ class BladeElement:
         return " + ".join(names)
 
 
-def blade_multiply(a: BladeElement, b: BladeElement) -> BladeElement:
-    return a * b
-
-
 def gamma(n: int, i: int) -> BladeElement:
     """The generator gamma_i (1-based)."""
     if not 1 <= i <= n:

@@ -248,7 +248,6 @@ class CyclotomicField:
         self.q = self.from_zeta_power(level + 1)
         self.q_inv = self.from_zeta_power(level - 1)
         self.delta = -(self.q + self.q_inv)
-        self._delta_minpoly: tuple[int, ...] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -284,60 +283,8 @@ class CyclotomicField:
             e >>= 1
         return out
 
-    # -- delta as an algebraic integer --------------------------------
-
-    def delta_minpoly(self) -> tuple[int, ...]:
-        """Monic integer minimal polynomial of delta (low to high)."""
-        if self._delta_minpoly is None:
-            powers = [self.one]
-            while True:
-                powers.append(powers[-1] * self.delta)
-                rel = _rational_dependency([p.as_fractions() for p in powers])
-                if rel is not None:
-                    lead = rel[-1]
-                    coeffs = [c / lead for c in rel]
-                    assert all(c.denominator == 1 for c in coeffs)
-                    self._delta_minpoly = tuple(int(c) for c in coeffs)
-                    break
-        return self._delta_minpoly
-
     def __repr__(self) -> str:
         return f"CyclotomicField(level={self.level})"
-
-
-def _rational_dependency(
-    vectors: list[tuple[Fraction, ...]],
-) -> tuple[Fraction, ...] | None:
-    """If the last vector depends on the previous ones, return combination
-    coefficients (c_0, ..., c_{k-1}, 1-like lead) with sum c_i v_i = 0."""
-    k = len(vectors)
-    d = len(vectors[0])
-    # Solve sum_{i<k-1} a_i v_i = -v_{k-1} by elimination on the transpose.
-    cols = k - 1
-    aug = [[vectors[i][j] for i in range(cols)] + [-vectors[k - 1][j]] for j in range(d)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, d) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(d):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # Inconsistent system -> independent.
-    for i in range(r, d):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][cols]
-    return tuple(sol) + (Fraction(1),)
 
 
 @lru_cache(maxsize=None)
@@ -521,9 +468,6 @@ class CycNum:
         return out
 
     # -- conversions ----------------------------------------------------
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in self.num)
 
     def approx(self) -> complex:
         """Floating approximation, for display only."""

@@ -7,11 +7,12 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 :mod:`tlq.cellrep`.  One closed loop removed during stacking contributes one
 factor of delta = -(q + 1/q).
 
-Large-scale ranks (the trace-form Gram matrix and the dimension of the ideal
-generated by the Jones-Wenzl idempotent) are certified exactly by a sandwich:
-ranks modulo a prime are exact lower bounds, and the exactly verified
-inclusion of the ideal in the radical of the trace (tr(E y) = 0 for every
-basis diagram y) turns the pair of lower bounds into a two-sided pin.
+The rank of the trace-form Gram matrix and the dimension of the ideal
+generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
+sandwich at every size: ranks modulo a prime are exact lower bounds, and the
+exactly verified inclusion of the ideal in the radical of the trace
+(tr(E y) = 0 for every basis diagram y) turns the pair of lower bounds into a
+two-sided pin.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ from .diagram import (
     tl_pairings,
 )
 from .exactnum import CycNum, CyclotomicField, ExactMatrix, cyclotomic_field, quantum_int
-
-# Above this basis size, exact Gaussian elimination on the trace Gram matrix
-# is replaced by the certified modular sandwich.
-_EXACT_GRAM_LIMIT = 150
-# Above this basis size, the ideal dimension switches from the fully exact
-# product-span elimination to the sandwich.
-_EXACT_IDEAL_LIMIT = 45
 
 
 class TLElement:
@@ -200,10 +194,6 @@ def _delta_powers(field: CyclotomicField, upto: int) -> tuple[CycNum, ...]:
 def generator(n: int, i: int, level: int) -> TLElement:
     """The cup-cap generator f_i of TL_n with coefficient one."""
     return TLElement.from_diagram(generator_diagram(n, i), level)
-
-
-def multiply(a: TLElement, b: TLElement) -> TLElement:
-    return a * b
 
 
 def embed(x: TLElement, n: int) -> TLElement:
@@ -460,8 +450,8 @@ def radical_split(level: int, n: int) -> RadicalSplit:
     """Compute (rank tr-Gram, dim <E>) for TL_n, certified exactly.
 
     Logic: dim<E> >= s for any mod-p span rank s; rank(G) >= g for the mod-p
-    (or exact) Gram rank g; and tr(E y) = 0 for all y (verified exactly)
-    forces rank(G) + dim<E> <= dim TL_n.  When g + s = dim TL_n all three
+    Gram rank g; and tr(E y) = 0 for all y (verified exactly) forces
+    rank(G) + dim<E> <= dim TL_n.  When g + s = dim TL_n all three
     inequalities are tight, so both numbers are exact.  Primes are retried;
     an unlucky prime can only fail to pin, never mis-certify.
     """
@@ -469,9 +459,6 @@ def radical_split(level: int, n: int) -> RadicalSplit:
         raise ValueError("the ideal needs n >= level - 1")
     size = catalan(n)
     _assert_trace_kills_ideal(level, n)
-    exact_rank: int | None = None
-    if size <= _EXACT_GRAM_LIMIT:
-        exact_rank = trace_gram_matrix(level, n).rank()
     last = None
     for skip in range(3):
         p = next(_intlinalg.working_primes(order=2 * level, skip=skip))
@@ -479,7 +466,7 @@ def radical_split(level: int, n: int) -> RadicalSplit:
             dmod, zpows = _field_mod_p(level, p)
         except ArithmeticError:
             continue
-        rho_g = exact_rank if exact_rank is not None else _gram_rank_modp(level, n, p, dmod)
+        rho_g = _gram_rank_modp(level, n, p, dmod)
         target = size - rho_g
         rho_j = _ideal_span_rank_modp(level, n, p, zpows, target)
         if rho_j == target:
@@ -490,24 +477,15 @@ def radical_split(level: int, n: int) -> RadicalSplit:
     )
 
 
-def ideal_dimension(level: int, n: int, method: str = "auto") -> int:
-    """dim of the two-sided ideal <E_{l-1}> in TL_n.
-
-    "exact" builds every product a E b over the diagram basis and row-reduces
-    the exact coefficient matrix; "pinned" uses the certified sandwich; the
-    default picks by size.
-    """
-    if n < level - 1:
-        raise ValueError("the ideal needs n >= level - 1")
-    size = catalan(n)
-    if method not in ("auto", "exact", "pinned"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and size <= _EXACT_IDEAL_LIMIT):
-        return _ideal_dimension_exact(level, n)
+def ideal_dimension(level: int, n: int) -> int:
+    """dim of the two-sided ideal <E_{l-1}> in TL_n, pinned by the mod-p
+    sandwich of :func:`radical_split`."""
     return radical_split(level, n).ideal_dim
 
 
 def _ideal_dimension_exact(level: int, n: int) -> int:
+    """dim <E_{l-1}> by exact elimination of every product a E b over the
+    diagram basis; the test reference for :func:`ideal_dimension`."""
     field = cyclotomic_field(level)
     basis = tl_pairings(n)
     size = len(basis)
@@ -534,15 +512,13 @@ def _ideal_dimension_exact(level: int, n: int) -> int:
     return ExactMatrix(field, list(rows.values())).rank()
 
 
-def trace_gram_rank(level: int, n: int, method: str = "auto") -> int:
-    """Rank of the Jones trace form on TL_n (exactly)."""
-    size = catalan(n)
-    if method not in ("auto", "exact", "pinned"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and size <= _EXACT_GRAM_LIMIT):
-        return trace_gram_matrix(level, n).rank()
+def trace_gram_rank(level: int, n: int) -> int:
+    """Rank of the Jones trace form on TL_n (exactly).
+
+    From n = level - 1 on it is the mod-p sandwich rank of
+    :func:`radical_split`.  Below that there is no idempotent to pin
+    against, and the rank is found by exact elimination.
+    """
     if n < level - 1:
-        # No idempotent to pin against; the form is nondegenerate here, but
-        # compute honestly at full size.
         return trace_gram_matrix(level, n).rank()
     return radical_split(level, n).gram_rank

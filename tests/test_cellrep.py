@@ -15,9 +15,9 @@ from tlq.cellrep import (
     g_apply,
     g_orbit,
     gram_matrix,
+    quotient_labels,
     simple_dim_altsum,
     simple_dim_rank,
-    simple_q_modules,
 )
 from tlq.combinatorics import w_dim
 from tlq.diagram import Diagram, enumerate_monic
@@ -124,8 +124,7 @@ def test_rank_equals_altsum_sweep():
 
 
 def test_rank_equals_altsum_full_table():
-    # The full table through n = 12; the larger Gram matrices go through the
-    # certified integer route.
+    # The full table through n = 12, with Gram matrices up to 297 x 297.
     for level in (4, 5, 6):
         for n in (10, 11, 12):
             for t in admissible_t(n):
@@ -134,13 +133,6 @@ def test_rank_equals_altsum_full_table():
                 assert simple_dim_rank(t, n, level) == simple_dim_altsum(
                     t, n, level
                 ), (level, n, t)
-
-
-def test_exact_vs_certified_rank_agree():
-    for (t, n, level) in ((2, 8, 4), (1, 7, 5), (0, 8, 6), (2, 6, 4)):
-        assert simple_dim_rank(t, n, level, "exact") == simple_dim_rank(
-            t, n, level, "certified"
-        )
 
 
 def test_composition_factor_identity():
@@ -160,14 +152,12 @@ def test_composition_factor_identity():
                     assert w_dim(t, n) == rank
 
 
-def test_simple_q_modules():
-    assert simple_q_modules(6, 4) == (0, 2)
-    assert simple_q_modules(5, 4) == (1,)
-    assert simple_q_modules(6, 6) == (0, 2, 4)
-    assert simple_q_modules(8, 6) == (0, 2, 4)
-    assert len(simple_q_modules(9, 7)) <= 7 // 2
-    with pytest.raises(ValueError):
-        simple_q_modules(3, 5)
+def test_quotient_labels():
+    assert quotient_labels(4, 6) == (0, 2)
+    assert quotient_labels(4, 5) == (1,)
+    assert quotient_labels(6, 6) == (0, 2, 4)
+    assert quotient_labels(6, 8) == (0, 2, 4)
+    assert len(quotient_labels(7, 9)) <= 7 // 2
 
 
 def test_annihilation_examples():

@@ -123,6 +123,15 @@ def test_verify_suites_run(capsys):
     assert code == 0 and json.loads(out)["passed"]
 
 
+def test_verify_default_max_n(capsys):
+    code, out = run(capsys, "verify", "gram", "--level", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert [c["name"].split(":")[0] for c in report["checks"]] == [
+        f"n={n}" for n in range(1, 9)
+    ]
+
+
 def test_run_config_invariants():
     import pytest
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tlq.cellrep import simple_dim_rank, simple_q_modules
+from tlq.cellrep import quotient_labels, simple_dim_rank
 from tlq.combinatorics import catalan, fibonacci, w_dim
 from tlq.quotientdim import (
     _mat_mul,
@@ -133,7 +133,7 @@ def test_sum_of_squares_identity():
             dims = dims_by_matrix(level, n)
             assert dim_q(level, n) == sum(v * v for v in dims.values())
             assert set(t for t, v in dims.items() if t <= n) >= set(
-                simple_q_modules(n, level)
+                quotient_labels(level, n)
             )
 
 

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from tlq import tlalg
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
 from tlq.exactnum import cyclotomic_field
 from tlq.tlalg import (
     TLElement,
+    _ideal_dimension_exact,
     embed,
     embedded_jones_wenzl,
     generator,
@@ -147,16 +149,16 @@ def test_star_antiautomorphism():
 def test_ideal_dimension_small_values():
     # At n = level-1 = 3 the idempotent spans the one-dimensional top cell
     # block of semisimple TL_3; frozen as a regression anchor.
-    assert ideal_dimension(4, 3, method="exact") == 1
-    assert ideal_dimension(4, 4, method="exact") == catalan(4) - 8
-    assert ideal_dimension(5, 4, method="exact") == 14 - 13
+    assert _ideal_dimension_exact(4, 3) == 1
+    assert _ideal_dimension_exact(4, 4) == catalan(4) - 8
+    assert _ideal_dimension_exact(5, 4) == 14 - 13
     with pytest.raises(ValueError):
         ideal_dimension(4, 2)
 
 
 def test_ideal_dimension_methods_agree():
     for level, n in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
-        assert ideal_dimension(level, n, "exact") == radical_split(level, n).ideal_dim
+        assert _ideal_dimension_exact(level, n) == ideal_dimension(level, n)
 
 
 def test_trace_gram_rank_pattern():
@@ -176,6 +178,55 @@ def test_radical_split_certificate_consistency():
         split = radical_split(level, n)
         assert split.gram_rank + split.ideal_dim == catalan(n)
         assert split.gram_rank == trace_gram_matrix(level, n).rank()
+
+
+def _fresh_split(level: int, n: int):
+    radical_split.cache_clear()
+    try:
+        return radical_split(level, n)
+    finally:
+        radical_split.cache_clear()
+
+
+def _unlucky_field(level, p):
+    raise ArithmeticError("injected: unlucky prime")
+
+
+def _unlucky_span(level, n, p, zpows, target):
+    return target - 1
+
+
+# An unlucky prime shows as one of these: delta or a denominator vanishes mod
+# p, or the mod-p ideal span falls short of the pin.
+FAULTS = {"_field_mod_p": _unlucky_field, "_ideal_span_rank_modp": _unlucky_span}
+
+
+def _inject(monkeypatch, name: str, times: float) -> list:
+    """Make the first ``times`` calls of tlalg.<name> take its fault."""
+    real = getattr(tlalg, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return (FAULTS[name] if len(calls) <= times else real)(*args)
+
+    monkeypatch.setattr(tlalg, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_radical_split_retries_after_unlucky_prime(monkeypatch, name):
+    expected = _fresh_split(4, 5)
+    calls = _inject(monkeypatch, name, times=1)
+    assert _fresh_split(4, 5) == expected
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_radical_split_raises_when_every_prime_fails(monkeypatch, name):
+    _inject(monkeypatch, name, times=float("inf"))
+    with pytest.raises(ArithmeticError):
+        _fresh_split(4, 5)
 
 
 def test_trace_of_idempotent_times_basis_vanishes():
