@@ -11,20 +11,23 @@ The exact logic is one-sided bounds that must meet:
   combined modulus exceeds a rigorous magnitude bound.
 
 If the two bounds do not meet (an unlucky prime), the computation retries
-with the next prime; it never returns an unverified answer.  numpy float64
-is used purely as an exact integer carrier: every intermediate value is kept
-below 2**53 by construction, with runtime asserts.
+with the next prime; it never returns an unverified answer.  All GF(p) work
+goes through one Gauss-Jordan routine, :func:`_gauss_jordan`.  numpy float64
+is used purely as an exact integer carrier, as in FFLAS-FFPACK: every
+intermediate value is kept below 2**53 by construction, and the bounds that
+depend on the input are checked with explicit raises, which ``python -O``
+keeps.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-# Dot products in cascaded reductions are capped at this length so that
-# length * (p-1)^2 < 2**53 holds for all working primes.
+# Dot products are capped at this length so that length * (p-1)^2 < 2**53
+# holds for all working primes; it is also the slice height of ModpEchelon.
 _CHUNK = 512
 _PRIME_LO = 1_500_000
 _PRIME_HI = 2_100_000
@@ -59,16 +62,11 @@ def is_probable_prime(n: int) -> bool:
 
 def primes(start: int, residue: int = 0, modulus: int = 1) -> Iterator[int]:
     """Primes >= start congruent to residue mod modulus, ascending."""
-    n = start
-    if modulus > 1:
-        n += (residue - n) % modulus
-        step = modulus
-    else:
-        step = 1
+    n = start + (residue - start) % modulus
     while True:
         if is_probable_prime(n):
             yield n
-        n += step
+        n += modulus
 
 
 def working_primes(order: int = 1, skip: int = 0) -> Iterator[int]:
@@ -110,88 +108,77 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Incremental row echelon over GF(p)
+# Gauss-Jordan elimination over GF(p)
 # ---------------------------------------------------------------------------
 
 
-class ModpEchelon:
-    """Incremental row-echelon basis over GF(p).
+def _gauss_jordan(b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Reduced row-echelon form of ``b`` over GF(p), computed in place.
 
-    Rows are stored in insertion blocks.  Every stored row is fully reduced
-    against all pivot columns that existed when it was inserted, and rows of
-    one block are mutually reduced; cascading block-wise matmuls therefore
-    reduce a new batch completely.  All arithmetic stays below 2**53.
+    ``b`` holds residues in [0, p) as float64.  Returns the nonzero rows of
+    the reduced form, their pivot columns, and for each pivot the index of
+    the row of ``b`` it was taken from.  A pivot in column c clears that
+    column only in the rows that have a nonzero entry there, and only from
+    column c on: the pivot row is zero before c.
+    """
+    cols: list[int] = []
+    src: list[int] = []
+    for k in np.flatnonzero(b.any(axis=1)):
+        row = b[k]
+        nz = np.flatnonzero(row)
+        if nz.size == 0:
+            continue
+        c = int(nz[0])
+        row[c:] = np.fmod(row[c:] * pow(int(row[c]), p - 2, p), p)
+        hit = np.flatnonzero(b[:, c])
+        hit = hit[hit != k]
+        if hit.size:
+            b[hit, c:] = np.fmod(b[hit, c:] + np.outer(p - b[hit, c], row[c:]), p)
+        cols.append(c)
+        src.append(int(k))
+    return b[src], cols, src
+
+
+class ModpEchelon:
+    """Row space over GF(p), kept as one reduced row-echelon matrix.
+
+    ``rows[:, pivot_cols]`` is the identity, so reducing a batch against the
+    space takes one matrix product.  A batch enters in slices of ``_CHUNK``
+    rows, which bounds the working memory of each elimination and keeps
+    every dot product below 2**53.
     """
 
     def __init__(self, ncols: int, p: int):
         if _CHUNK * (p - 1) ** 2 >= _F64_SAFE:
             raise ValueError("prime too large for exact f64 carriers")
-        self.ncols = ncols
         self.p = p
-        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rows = np.zeros((0, ncols))
         self.pivot_cols: list[int] = []
-        self.pivot_origins: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def reduce(self, batch: np.ndarray) -> np.ndarray:
-        """Return the batch reduced against the current basis (a copy)."""
+    def add_rows(self, batch: np.ndarray) -> np.ndarray:
+        """Insert a batch of nonnegative integer rows (below 2**53); returns
+        the rows that enlarged the space, fully reduced, as a view of
+        ``rows`` that the next insertion reduces in place."""
         p = self.p
-        b = np.asarray(batch, dtype=np.float64) % p
-        for rows, cols in self.blocks:
-            coeff = b[:, cols]
-            if coeff.any():
-                b = (b - coeff @ rows) % p
-        return b
-
-    def add_rows(
-        self, batch: np.ndarray, origins: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Insert a batch of rows; returns the newly added (reduced) rows."""
-        p = self.p
-        nb = len(batch)
-        if nb == 0:
-            return np.zeros((0, self.ncols))
-        if nb > _CHUNK:
-            added = []
-            for k in range(0, nb, _CHUNK):
-                sub = None if origins is None else origins[k : k + _CHUNK]
-                added.append(self.add_rows(batch[k : k + _CHUNK], sub))
-            return np.vstack(added)
-        b = self.reduce(batch)
-        new_rows: list[np.ndarray] = []
-        new_cols: list[int] = []
-        for k in range(nb):
-            row = b[k]
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
+        start = self.rank
+        for k in range(0, len(batch), _CHUNK):
+            b = np.fmod(np.asarray(batch[k : k + _CHUNK], dtype=np.float64), p)
+            if self.rank:
+                b -= _chunked_matmul_mod(b[:, self.pivot_cols], self.rows, p) - p
+                np.fmod(b, p, out=b)
+            new, cols, _ = _gauss_jordan(b, p)
+            if not cols:
                 continue
-            c = int(nz[0])
-            inv = pow(int(row[c]), p - 2, p)
-            row = (row * inv) % p
-            b[k] = row
-            rest = b[k + 1 :]
-            if rest.size:
-                f = rest[:, c].copy()
-                if f.any():
-                    rest -= np.outer(f, row)
-                    rest %= p
-            # Back-reduce earlier new rows so the block is mutually reduced.
-            for j, prow in enumerate(new_rows):
-                v = prow[c]
-                if v:
-                    new_rows[j] = (prow - v * row) % p
-            new_rows.append(row.copy())
-            new_cols.append(c)
-            self.pivot_cols.append(c)
-            self.pivot_origins.append(-1 if origins is None else int(origins[k]))
-        if not new_rows:
-            return np.zeros((0, self.ncols))
-        block = np.array(new_rows)
-        self.blocks.append((block, np.array(new_cols, dtype=np.intp)))
-        return block
+            if self.rank:
+                self.rows -= _chunked_matmul_mod(self.rows[:, cols], new, p) - p
+                np.fmod(self.rows, p, out=self.rows)
+            self.rows = np.vstack([self.rows, new])
+            self.pivot_cols += cols
+        return self.rows[start:]
 
 
 def modp_rank_with_pivots(
@@ -202,34 +189,18 @@ def modp_rank_with_pivots(
     The returned r x r minor M[pivot_rows][:, pivot_cols] is nonsingular
     mod p, hence nonsingular over Q.
     """
-    ech = ModpEchelon(m.shape[1], p)
-    for k in range(0, m.shape[0], _CHUNK):
-        batch = np.asarray(m[k : k + _CHUNK], dtype=np.float64)
-        ech.add_rows(batch, range(k, min(k + _CHUNK, m.shape[0])))
-    return ech.rank, list(ech.pivot_origins), list(ech.pivot_cols)
+    _, cols, src = _gauss_jordan(np.asarray(m, dtype=np.float64) % p, p)
+    return len(cols), src, cols
 
 
 def _modp_inverse(s: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a nonsingular matrix over GF(p), as float64 residues."""
     r = s.shape[0]
-    aug = np.zeros((r, 2 * r))
-    aug[:, :r] = np.asarray(s, dtype=np.float64) % p
-    aug[np.arange(r), np.arange(r) + r] = 1.0
-    for c in range(r):
-        nz = np.nonzero(aug[c:, c])[0]
-        if nz.size == 0:
-            raise ArithmeticError("matrix is singular mod p")
-        i = c + int(nz[0])
-        if i != c:
-            aug[[c, i]] = aug[[i, c]]
-        inv = pow(int(aug[c, c]), p - 2, p)
-        aug[c] = (aug[c] * inv) % p
-        col = aug[:, c].copy()
-        col[c] = 0.0
-        mask = np.nonzero(col)[0]
-        if mask.size:
-            aug[mask] = (aug[mask] - np.outer(col[mask], aug[c])) % p
-    return aug[:, r:]
+    aug = np.hstack([np.asarray(s, dtype=np.float64) % p, np.eye(r)])
+    rows, cols, _ = _gauss_jordan(aug, p)
+    if sorted(cols) != list(range(r)):
+        raise ArithmeticError("matrix is singular mod p")
+    return rows[np.argsort(cols), r:]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +230,8 @@ def dixon_solve(
     """
     r, mcols = rhs.shape
     max_s = int(np.max(np.abs(s))) if s.size else 0
-    assert r * max_s * (p - 1) < _F64_SAFE, "entries too large for lifting"
+    if r * max_s * (p - 1) >= _F64_SAFE:
+        raise ValueError("entries too large for lifting")
     sinv = _modp_inverse(s, p)
     sf = np.asarray(s, dtype=np.float64)
     bits = 2 * _hadamard_bits(s, rhs) + 8
@@ -270,10 +242,12 @@ def dixon_solve(
         x = _chunked_matmul_mod(sinv, (carry % p).astype(np.float64), p)
         digits.append(x.astype(np.int64))
         t = sf @ x
-        assert t.size == 0 or np.max(np.abs(t)) < _F64_SAFE
+        if t.size and np.max(np.abs(t)) >= _F64_SAFE:
+            raise ArithmeticError("lifting product left the exact f64 range")
         carry -= t.astype(np.int64)
         q, rem = np.divmod(carry, p)
-        assert not rem.any(), "lifting residue must divide exactly"
+        if rem.any():
+            raise ArithmeticError("lifting residue must divide exactly")
         carry = q
     mod = p**steps
     bound = math.isqrt(mod // 2)
@@ -342,7 +316,6 @@ def verify_product_identity(
     small = max_x < (1 << 62)
     if small:
         x_arr = np.array(xt, dtype=np.int64)
-    den_arr = [int(d) for d in x_den]
     for q in primes(_PRIME_LO):
         if small:
             xq = (x_arr % q).astype(np.float64)
@@ -350,7 +323,7 @@ def verify_product_identity(
             xq = np.array([[v % q for v in row] for row in xt], dtype=np.float64)
         aq = (np.asarray(a, dtype=np.int64) % q).astype(np.float64)
         bq = (np.asarray(b, dtype=np.int64) % q).astype(np.float64)
-        dq = np.array([d % q for d in den_arr], dtype=np.float64)
+        dq = np.array([int(d) % q for d in x_den], dtype=np.float64)
         lhs = _chunked_matmul_mod(aq, xq, q)
         rhs = (bq * dq[None, :]) % q
         if not np.array_equal(lhs, rhs):
@@ -362,11 +335,14 @@ def verify_product_identity(
 
 
 def _chunked_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p with dot products split so partial sums stay below 2**53."""
+    """(a @ b) % p for residues in [0, p), with dot products split so that
+    partial sums stay below 2**53.  np.fmod equals % on nonnegative values
+    and is several times faster."""
     r = a.shape[1]
     out = np.zeros((a.shape[0], b.shape[1]))
     for k in range(0, r, _CHUNK):
-        out = (out + a[:, k : k + _CHUNK] @ b[k : k + _CHUNK]) % p
+        out += a[:, k : k + _CHUNK] @ b[k : k + _CHUNK]
+        np.fmod(out, p, out=out)
     return out
 
 
@@ -379,7 +355,8 @@ def certified_rank(matrix: np.ndarray, attempts: int = 3) -> int:
     m = np.asarray(matrix, dtype=np.int64)
     if m.size == 0:
         return 0
-    assert int(np.max(np.abs(m))) < (1 << 40), "entries too large"
+    if int(np.max(np.abs(m))) >= (1 << 40):
+        raise ValueError("entries too large")
     for skip in range(attempts):
         p = next(working_primes(skip=skip))
         r, pr, pc = modp_rank_with_pivots(m % p, p)

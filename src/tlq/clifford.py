@@ -211,37 +211,36 @@ def even_masks(n: int) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if m.bit_count() % 2 == 0)
 
 
-def image_dimension(n: int, method: str = "auto") -> int:
+def image_dimension(n: int) -> int:
     """Rank of span{phi(D) : D diagram basis} inside the even subalgebra.
 
     A full mod-p rank of 2^(n-1) is already exact (it meets the dimension of
-    the ambient space); otherwise fall back to exact elimination.
+    the ambient space); otherwise fall back to :func:`_image_dimension_exact`.
     """
     table = _phi_table(n)
-    masks = even_masks(n)
-    col = {m: k for k, m in enumerate(masks)}
+    col = {m: k for k, m in enumerate(even_masks(n))}
+    p = next(_intlinalg.working_primes(order=2 * _LEVEL))
+    _, zpows = _field_mod_p(_LEVEL, p)
+    rows = np.zeros((len(table), len(col)))
+    for r, blade in enumerate(table.values()):
+        for m, c in blade.terms.items():
+            rows[r, col[m]] = _cyc_mod_p(c, p, zpows)
+    if _intlinalg.modp_rank_with_pivots(rows, p)[0] == len(col):
+        return len(col)
+    return _image_dimension_exact(n)
+
+
+def _image_dimension_exact(n: int) -> int:
+    """The rank of :func:`image_dimension` by exact elimination over Q(zeta)."""
+    col = {m: k for k, m in enumerate(even_masks(n))}
     field = _field()
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        p = next(_intlinalg.working_primes(order=2 * _LEVEL))
-        _, zpows = _field_mod_p(_LEVEL, p)
-        rows = np.zeros((len(table), len(masks)))
-        for r, blade in enumerate(table.values()):
-            for m, c in blade.terms.items():
-                rows[r, col[m]] = _cyc_mod_p(c, p, zpows)
-        ech = _intlinalg.ModpEchelon(len(masks), p)
-        ech.add_rows(rows)
-        if ech.rank == len(masks):
-            return ech.rank
-    zero = field.zero
-    rows_exact = []
-    for blade in table.values():
-        row = [zero] * len(masks)
+    rows = []
+    for blade in _phi_table(n).values():
+        row = [field.zero] * len(col)
         for m, c in blade.terms.items():
             row[col[m]] = c
-        rows_exact.append(row)
-    return ExactMatrix(field, rows_exact).rank()
+        rows.append(row)
+    return ExactMatrix(field, rows).rank()
 
 
 def so_commutator_report(n: int) -> dict[str, bool]:

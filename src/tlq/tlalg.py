@@ -341,14 +341,9 @@ def _field_mod_p(level: int, p: int) -> tuple[int, list[int]]:
 
 def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
     expo = _closure_exponents(n)
-    table = np.empty(int(expo.max()) + 1, dtype=np.int64)
-    acc = 1
-    for c in range(table.size):
-        table[c] = acc
-        acc = acc * dmod % p
-    g = table[expo].astype(np.float64)
-    ech = _intlinalg.ModpEchelon(g.shape[1], p)
-    ech.add_rows(g)
+    table = np.array([pow(dmod, c, p) for c in range(int(expo.max()) + 1)], dtype=np.float64)
+    ech = _intlinalg.ModpEchelon(expo.shape[1], p)
+    ech.add_rows(table[expo])
     return ech.rank
 
 
@@ -418,19 +413,21 @@ def _ideal_span_rank_modp(
         (tgt, np.array([pow(dmod, int(l), p) for l in loops], dtype=np.float64))
         for tgt, loops in _generator_action_maps(n)
     ]
+    # np.add.at sums one fiber of a map, each term below (p-1)^2.
+    fiber = max(int(np.bincount(tgt).max()) for tgt, _ in maps)
+    if fiber * (p - 1) ** 2 >= _intlinalg._F64_SAFE:
+        raise ArithmeticError("fiber sums would leave the exact f64 range")
     seed = np.zeros((1, size))
     for d, c in ej.terms.items():
         seed[0, index[d.pairing]] = _cyc_mod_p(c, p, zpows)
     ech = _intlinalg.ModpEchelon(size, p)
     frontier = ech.add_rows(seed)
     while frontier.size and ech.rank < target:
-        candidates = []
-        for tgt, w in maps:
-            contrib = frontier * w
-            out = np.zeros_like(frontier)
-            np.add.at(out.T, tgt, contrib.T)
-            candidates.append(out % p)
-        frontier = ech.add_rows(np.vstack(candidates))
+        m = len(frontier)
+        candidates = np.zeros((len(maps) * m, size))
+        for k, (tgt, w) in enumerate(maps):
+            np.add.at(candidates[k * m : (k + 1) * m].T, tgt, (frontier * w).T)
+        frontier = ech.add_rows(candidates)
     return ech.rank
 
 

@@ -57,6 +57,27 @@ def fraction_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def modp_rank(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over GF(p) by forward elimination on Python
+    ints, scanning columns for pivots."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def quantum_int_by_ratio(m: int, level: int) -> CycNum:
     """[m]_q as the literal ratio (q^m - q^-m) / (q - q^-1)."""
     field = cyclotomic_field(level)

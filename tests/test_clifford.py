@@ -20,7 +20,7 @@ from tlq.clifford import (
     phi_generator,
     so_commutator_report,
 )
-from tlq.clifford import _mul_basis
+from tlq.clifford import _image_dimension_exact, _mul_basis
 from tlq.diagram import tl_basis
 from tlq.exactnum import cyclotomic_field
 from tlq.tlalg import TLElement, embed, embedded_jones_wenzl, generator, jones_trace, jones_wenzl
@@ -125,7 +125,7 @@ def test_image_dimension():
     assert image_dimension(3) == 4
     assert image_dimension(4) == 8
     assert image_dimension(5) == 16
-    assert image_dimension(4, method="exact") == 8
+    assert _image_dimension_exact(4) == 8
 
 
 def test_trace_correspondence():

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from tlq import tlalg
+from tlq import _intlinalg, tlalg
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
 from tlq.exactnum import cyclotomic_field
@@ -159,6 +160,22 @@ def test_ideal_dimension_small_values():
 def test_ideal_dimension_methods_agree():
     for level, n in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
         assert _ideal_dimension_exact(level, n) == ideal_dimension(level, n)
+
+
+def test_generator_map_fibers_hold_at_most_n_diagrams():
+    # The ideal closure sums one fiber of a generator map with np.add.at, and
+    # its float64 bound n * (p-1)^2 < 2**53 rests on this count.
+    for n in range(2, 8):
+        fibers = [int(np.bincount(tgt).max()) for tgt, _ in tlalg._generator_action_maps(n)]
+        assert max(fibers) == n
+
+
+def test_ideal_closure_checks_the_fiber_bound(monkeypatch):
+    p = next(_intlinalg.working_primes(order=8))
+    _, zpows = tlalg._field_mod_p(4, p)
+    monkeypatch.setattr(_intlinalg, "_F64_SAFE", 5 * (p - 1) ** 2)
+    with pytest.raises(ArithmeticError, match="fiber"):
+        tlalg._ideal_span_rank_modp(4, 5, p, zpows, catalan(5))
 
 
 def test_trace_gram_rank_pattern():
