@@ -17,7 +17,13 @@ import numpy as np
 
 from . import _intlinalg
 from .diagram import compose_pairings, generator_pairing, identity_pairing, tl_pairings
-from .exactnum import CycNum, CyclotomicField, ExactMatrix, cyclotomic_field
+from .exactnum import (
+    CycNum,
+    CyclotomicField,
+    ExactMatrix,
+    KroneckerPacking,
+    cyclotomic_field,
+)
 from .tlalg import TLElement, _cyc_mod_p, _field_mod_p
 
 _LEVEL = 4
@@ -112,19 +118,27 @@ class BladeElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("generator count mismatch")
-        halves = _half_powers(self.n)
-        out: dict[int, CycNum] = {}
-        for j, cj in self.terms.items():
-            for k, ck in other.terms.items():
+        if not self.terms or not other.terms:
+            return BladeElement(self.n)
+        # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
+        most_contractions = min(
+            max(j.bit_count() for j in self.terms),
+            max(k.bit_count() for k in other.terms),
+        )
+        halves = _half_powers(most_contractions)
+        xs = [c * h if e else c for c in self.terms.values() for e, h in enumerate(halves)]
+        pack = KroneckerPacking(
+            _field(), xs, other.terms.values(), len(self.terms) * len(other.terms)
+        )
+        stride = len(halves)
+        yterms = list(zip(other.terms, pack.y))
+        acc: dict[int, int] = {}
+        for j, i in zip(self.terms, range(0, len(xs), stride)):
+            xrow = pack.x[i : i + stride]
+            for k, yk in yterms:
                 mask, sign, contractions = _mul_basis(j, k)
-                c = cj * ck
-                if contractions:
-                    c = c * halves[contractions]
-                if sign < 0:
-                    c = -c
-                s = out.get(mask)
-                out[mask] = c if s is None else s + c
-        return BladeElement(self.n, out)
+                acc[mask] = acc.get(mask, 0) + sign * xrow[contractions] * yk
+        return BladeElement(self.n, {m: pack.unpack(t) for m, t in acc.items()})
 
     def constant_term(self) -> CycNum:
         return self.terms.get(0, _field().zero)

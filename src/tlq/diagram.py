@@ -50,6 +50,16 @@ class Diagram:
         if not _is_noncrossing_involution(self.pairing):
             raise ValueError("pairing is not a planar perfect matching")
 
+    @classmethod
+    def _trusted(cls, src: int, dst: int, pairing: tuple[int, ...]) -> "Diagram":
+        """A diagram whose pairing is planar by construction, such as a
+        composite of planar diagrams; skips the public constructor's checks."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "src", src)
+        object.__setattr__(d, "dst", dst)
+        object.__setattr__(d, "pairing", pairing)
+        return d
+
     def __lt__(self, other: "Diagram") -> bool:
         return (self.src, self.dst, self.pairing) < (other.src, other.dst, other.pairing)
 

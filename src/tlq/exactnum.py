@@ -5,6 +5,9 @@ Every scalar used by the algebra layers is a ``CycNum``: a residue modulo the
 2l-th cyclotomic polynomial with rational coefficients, stored as an integer
 coefficient vector over a common denominator.  There is no floating point
 anywhere in this module; approximations exist only for display purposes.
+Long sums of products (the algebra product and the Markov trace) run on
+``KroneckerPacking``: each coefficient vector is packed into one integer, so
+one integer multiply-add does a whole polynomial product and sum.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -16,7 +19,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Collection, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +234,8 @@ class CyclotomicField:
         self.modulus = cyclotomic_polynomial(2 * level)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # x^(d+k) mod Phi as integer rows, for k = 0 .. d-2.
+        # x^(d+k) mod Phi as integer rows, for k = 0 .. d-2, kept as their
+        # nonzero (index, coefficient) entries.
         red: list[tuple[int, ...]] = []
         base = tuple(-c for c in self.modulus[:d])
         red.append(base)
@@ -241,7 +246,9 @@ class CyclotomicField:
             if top:
                 row = [row[j] + top * base[j] for j in range(d)]
             red.append(tuple(row))
-        self._red = tuple(red)
+        self._red = tuple(
+            tuple((j, v) for j, v in enumerate(row) if v) for row in red
+        )
         self.zero = CycNum(self, 1, (0,) * d)
         self.one = CycNum(self, 1, (1,) + (0,) * (d - 1))
         self.zeta = self.from_zeta_power(1)
@@ -281,6 +288,16 @@ class CyclotomicField:
                 out = out * z
             z = z * z
             e >>= 1
+        return out
+
+    def _reduce(self, prod: list[int]) -> list[int]:
+        """Coefficients of a polynomial of degree < 2d-1 modulo Phi_{2l}."""
+        d = self.degree
+        out = prod[:d]
+        for c, row in zip(prod[d:], self._red):
+            if c:
+                for j, v in row:
+                    out[j] += c * v
         return out
 
     def __repr__(self) -> str:
@@ -395,7 +412,8 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self.field.degree
+        field = self.field
+        d = field.degree
         na, nb = self.num, other.num
         prod = [0] * (2 * d - 1)
         for i, ai in enumerate(na):
@@ -403,16 +421,7 @@ class CycNum:
                 for j, bj in enumerate(nb):
                     if bj:
                         prod[i + j] += ai * bj
-        out = prod[:d]
-        red = self.field._red
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                row = red[k - d]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycNum._make(self.field, self.den * other.den, out)
+        return CycNum._make(field, self.den * other.den, field._reduce(prod))
 
     __rmul__ = __mul__
 
@@ -496,6 +505,81 @@ class CycNum:
         if self.den != 1:
             s = f"({s})/{self.den}"
         return s
+
+
+# ---------------------------------------------------------------------------
+# Packed multiply-accumulate (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+
+def _kronecker_width(xmax: int, ymax: int, pairs: int, degree: int) -> int:
+    """Digit width in bits that holds any sum of ``pairs`` products x*y with
+    numerators bounded by ``xmax`` and ``ymax``.
+
+    A digit of one product is a sum of at most ``degree`` terms x_i*y_j, so a
+    digit of the sum is below pairs*degree*xmax*ymax < 2^(w-2) in absolute
+    value, and balanced digits need only < 2^(w-1).
+    """
+    return xmax.bit_length() + ymax.bit_length() + (pairs * degree).bit_length() + 2
+
+
+def _common_numerators(values: Collection[CycNum]) -> tuple[int, list[list[int]]]:
+    den = math.lcm(*(c.den for c in values))
+    return den, [[v * (den // c.den) for v in c.num] for c in values]
+
+
+def _pack(num: list[int], width: int) -> int:
+    out = 0
+    for v in reversed(num):
+        out = (out << width) + v
+    return out
+
+
+class KroneckerPacking:
+    """Exact sums of products x*y of CycNums as sums of Python integers.
+
+    Each numerator of ``xs`` (over their common denominator) and of ``ys``
+    (over theirs) becomes one integer with a coefficient per base-2^w digit
+    (D. Harvey, J. Symb. Comput. 44, 2009): one integer product is then one
+    polynomial product, and integers add like polynomials.  ``x`` and ``y``
+    hold the packed values in input order; :meth:`unpack` turns any integer
+    sum of at most ``pairs`` products ``x[i] * y[j]`` back into a CycNum.
+    """
+
+    __slots__ = ("field", "den", "width", "x", "y")
+
+    def __init__(
+        self,
+        field: CyclotomicField,
+        xs: Collection[CycNum],
+        ys: Collection[CycNum],
+        pairs: int,
+    ):
+        dx, nx = _common_numerators(xs)
+        dy, ny = _common_numerators(ys)
+        xmax = max(map(abs, chain.from_iterable(nx)), default=0)
+        ymax = max(map(abs, chain.from_iterable(ny)), default=0)
+        self.field = field
+        self.den = dx * dy
+        self.width = _kronecker_width(xmax, ymax, pairs, field.degree)
+        self.x = [_pack(num, self.width) for num in nx]
+        self.y = [_pack(num, self.width) for num in ny]
+
+    def unpack(self, total: int) -> CycNum:
+        """The CycNum of a sum of packed products, reduced and normalized."""
+        width = self.width
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        prod = []
+        for _ in range(2 * self.field.degree - 1):
+            digit = total & mask
+            if digit >= half:
+                digit -= 1 << width
+            prod.append(digit)
+            total = (total - digit) >> width
+        if total:
+            raise ArithmeticError("packed sum overflowed its top digit")
+        return CycNum._make(self.field, self.den, self.field._reduce(prod))
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:

@@ -7,6 +7,12 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 :mod:`tlq.cellrep`.  One closed loop removed during stacking contributes one
 factor of delta = -(q + 1/q).
 
+Products and the trace run on :class:`tlq.exactnum.KroneckerPacking`: the
+coefficients are packed into integers once, every diagram pair adds one
+integer product to the accumulator of its result diagram, and each result is
+unpacked into one ``CycNum``.  Neither enumerates the diagram basis, so both
+work at any n.
+
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
 sandwich at every size: ranks modulo a prime are exact lower bounds, and the
@@ -38,9 +44,17 @@ from .diagram import (
     rotate_to_flat,
     star,
     tl_basis,
+    through_strands,
     tl_pairings,
 )
-from .exactnum import CycNum, CyclotomicField, ExactMatrix, cyclotomic_field, quantum_int
+from .exactnum import (
+    CycNum,
+    CyclotomicField,
+    ExactMatrix,
+    KroneckerPacking,
+    cyclotomic_field,
+    quantum_int,
+)
 
 
 class TLElement:
@@ -143,20 +157,39 @@ class TLElement:
         if not isinstance(other, TLElement):
             return NotImplemented
         self._check_compatible(other)
-        n = self.n
-        delta_pow = _delta_powers(self.field, n)
-        out: dict[Diagram, CycNum] = {}
-        for dy, cy in other.terms.items():
-            for dx, cx in self.terms.items():
+        n, field = self.n, self.field
+        if not self.terms or not other.terms:
+            return TLElement(n, field)
+        # A loop closed in the glued row uses a bottom arc of x and a top arc
+        # of y, and an (n, n)-diagram with s through strands has (n - s) / 2
+        # of each; x_i * delta^l for l up to the smaller of the two largest
+        # arc counts covers every pair.
+        most_loops = min(
+            max(n - through_strands(d) for d in self.terms),
+            max(n - through_strands(d) for d in other.terms),
+        ) // 2
+        pw = _delta_powers(field, most_loops)
+        xs = [c * p if l else c for c in self.terms.values() for l, p in enumerate(pw)]
+        pack = KroneckerPacking(
+            field, xs, other.terms.values(), len(self.terms) * len(other.terms)
+        )
+        stride = len(pw)
+        xrows = [
+            (dx.pairing, pack.x[k : k + stride])
+            for dx, k in zip(self.terms, range(0, len(xs), stride))
+        ]
+        acc: dict[tuple[int, ...], int] = {}
+        for dy, yj in zip(other.terms, pack.y):
+            py = dy.pairing
+            for px, xrow in xrows:
                 # "apply y, then x": stack x on top of y.
-                pairing, loops = compose_pairings(n, n, n, dy.pairing, dx.pairing)
-                c = cx * cy
-                if loops:
-                    c = c * delta_pow[loops]
-                d = Diagram(n, n, pairing)
-                s = out.get(d)
-                out[d] = c if s is None else s + c
-        return TLElement(n, self.field, out)
+                pairing, loops = compose_pairings(n, n, n, py, px)
+                acc[pairing] = acc.get(pairing, 0) + xrow[loops] * yj
+        return TLElement(
+            n,
+            field,
+            {Diagram._trusted(n, n, pr): pack.unpack(t) for pr, t in acc.items()},
+        )
 
     def __pow__(self, k: int) -> TLElement:
         if k < 0:
@@ -191,6 +224,12 @@ def _delta_powers(field: CyclotomicField, upto: int) -> tuple[CycNum, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _delta_inverse_power(field: CyclotomicField, n: int) -> CycNum:
+    """delta^(-n), the normalization of the Markov trace on TL_n."""
+    return _delta_powers(field, n)[n].inverse()
+
+
 def generator(n: int, i: int, level: int) -> TLElement:
     """The cup-cap generator f_i of TL_n with coefficient one."""
     return TLElement.from_diagram(generator_diagram(n, i), level)
@@ -215,16 +254,20 @@ def embed(x: TLElement, n: int) -> TLElement:
 def jones_trace(x: TLElement) -> CycNum:
     """The Markov trace: each diagram D contributes delta^(c(D) - n) where
     c(D) counts the closed loops of the right-hand closure of D."""
-    n = x.n
-    field = x.field
-    total = field.zero
+    n, field = x.n, x.field
     if not x.terms:
-        return total
-    dinv_n = _delta_powers(field, n)[n].inverse()
-    pw = _delta_powers(field, 2 * n)
-    for d, c in x.terms.items():
-        total = total + c * pw[closure_loops(n, d.pairing)]
-    return total * dinv_n
+        return field.zero
+    # Coefficients are summed per loop count c <= n, and each sum is
+    # multiplied by delta^c once.
+    pack = KroneckerPacking(
+        field, x.terms.values(), _delta_powers(field, n), len(x.terms)
+    )
+    sums: dict[int, int] = {}
+    for d, xi in zip(x.terms, pack.x):
+        c = closure_loops(n, d.pairing)
+        sums[c] = sums.get(c, 0) + xi
+    total = pack.unpack(sum(s * pack.y[c] for c, s in sums.items()))
+    return total * _delta_inverse_power(field, n)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +355,7 @@ def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     expo = _closure_exponents(n)
     size = expo.shape[0]
     pw = _delta_powers(field, 2 * n)
-    dinv_n = pw[n].inverse()
+    dinv_n = _delta_inverse_power(field, n)
     cache = {c: pw[c] * dinv_n for c in np.unique(expo)}
     rows = [[cache[int(expo[i, j])] for j in range(size)] for i in range(size)]
     return ExactMatrix(field, rows)
@@ -354,13 +397,13 @@ def _assert_trace_kills_ideal(level: int, n: int):
     ej = embedded_jones_wenzl(level, n)
     eterms = [(d.pairing, c) for d, c in ej.terms.items()]
     pw = _delta_powers(field, 3 * n)
-    dinv_n = pw[n].inverse()
     for y in tl_pairings(n):
         total = field.zero
         for pe, ce in eterms:
             pairing, loops = compose_pairings(n, n, n, y, pe)
             total = total + ce * pw[loops + closure_loops(n, pairing)]
-        if total * dinv_n != field.zero:
+        # tr(E y) is this sum times delta^(-n), so it vanishes with the sum.
+        if total:
             raise ArithmeticError(
                 f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
             )

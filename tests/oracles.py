@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from tlq.diagram import Diagram, closure_loops, compose_pairings
 from tlq.exactnum import CycNum, cyclotomic_field
+from tlq.tlalg import TLElement, _delta_powers
 
 
 def slow_blade_product(
@@ -83,3 +85,37 @@ def quantum_int_by_ratio(m: int, level: int) -> CycNum:
     field = cyclotomic_field(level)
     q = field.q
     return (q**m - q**-m) * (q - q**-1).inverse()
+
+
+def tl_product(x: TLElement, y: TLElement) -> TLElement:
+    """x * y in TL_n with one CycNum product and one validated Diagram per
+    diagram pair; the reference for the packed product."""
+    n = x.n
+    delta_pow = _delta_powers(x.field, n)
+    out = {}
+    for dy, cy in y.terms.items():
+        for dx, cx in x.terms.items():
+            # "apply y, then x": stack x on top of y.
+            pairing, loops = compose_pairings(n, n, n, dy.pairing, dx.pairing)
+            c = cx * cy
+            if loops:
+                c = c * delta_pow[loops]
+            d = Diagram(n, n, pairing)
+            s = out.get(d)
+            out[d] = c if s is None else s + c
+    return TLElement(n, x.field, out)
+
+
+def markov_trace(x: TLElement) -> CycNum:
+    """The Markov trace with one CycNum product per term and a fresh
+    delta^(-n); the reference for the packed trace."""
+    n = x.n
+    field = x.field
+    total = field.zero
+    if not x.terms:
+        return total
+    dinv_n = _delta_powers(field, n)[n].inverse()
+    pw = _delta_powers(field, 2 * n)
+    for d, c in x.terms.items():
+        total = total + c * pw[closure_loops(n, d.pairing)]
+    return total * dinv_n

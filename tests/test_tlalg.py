@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from tlq import _intlinalg, tlalg
+from oracles import markov_trace, tl_product
+from tlq import _intlinalg, diagram, tlalg
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
 from tlq.exactnum import cyclotomic_field
@@ -92,6 +93,67 @@ def test_trace_symmetry():
                 a = random_element(n, level, rng)
                 b = random_element(n, level, rng)
                 assert jones_trace(a * b) == jones_trace(b * a)
+
+
+def oracle_element(n: int, level: int, rng: random.Random, size: int, bits: int) -> TLElement:
+    """An element on ``size`` random basis diagrams (every diagram when size
+    is at least C(n)) with numerators up to 2^bits and mixed denominators."""
+    field = cyclotomic_field(level)
+    basis = tl_basis(n)
+    support = basis if size >= len(basis) else rng.sample(basis, size)
+    return TLElement(n, field, {
+        d: field.from_coeffs(
+            rng.choice((1, 2, 3, 35, 2**61 - 1)),
+            [rng.randint(-(2**bits), 2**bits) for _ in range(field.degree)],
+        )
+        for d in support
+    })
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("n", range(8))
+def test_product_and_trace_match_per_term_oracle(level, n):
+    rng = random.Random(1000 * level + n)
+    dense = catalan(n) if n <= 6 else 60
+    for size, bits in ((1, 4), (3, 8), (dense, 3), (dense, 90)):
+        x = oracle_element(n, level, rng, size, bits)
+        y = oracle_element(n, level, rng, size, bits)
+        prod = x * y
+        assert prod == tl_product(x, y)
+        assert jones_trace(prod) == markov_trace(prod)
+        assert jones_trace(x) == markov_trace(x)
+    zero = TLElement.zero(n, level)
+    assert x * zero == zero == zero * x
+    assert jones_trace(zero) == markov_trace(zero)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_products_and_traces_that_cancel(level):
+    field = cyclotomic_field(level)
+    rng = random.Random(level)
+    for n in range(2, 8):
+        c = field.from_coeffs(2**61 - 1, [rng.randint(-(2**85), 2**85) for _ in range(field.degree)])
+        f1, one = generator(n, 1, level), TLElement.one(n, level)
+        # f1 (f1 - delta) = 0 and tr(1 - delta f1) = 0.
+        x, y = c * f1, c * (f1 - field.delta * one)
+        assert (x * y).is_zero() and tl_product(x, y).is_zero()
+        t = c * (one - field.delta * f1)
+        assert jones_trace(t).is_zero() and markov_trace(t).is_zero()
+
+
+def test_products_and_traces_at_n12_enumerate_no_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a diagram basis was enumerated")
+
+    monkeypatch.setattr(diagram, "monic_pairings", no_basis)
+    level = 5
+    dinv = cyclotomic_field(level).delta.inverse()
+    f = [generator(12, i, level) for i in range(1, 12)]
+    x = f[0] * f[5] * f[10] + f[3]
+    y = f[1] * f[0] + f[6] * f[6]
+    assert x * y == tl_product(x, y)
+    assert jones_trace(x * y) == markov_trace(tl_product(x, y))
+    assert jones_trace(f[0] * f[5]) == dinv * dinv
 
 
 def test_jw_level3_verbatim():
