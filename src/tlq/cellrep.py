@@ -1,6 +1,8 @@
 """Cell modules W_t(n), the bilinear cell form, simple dimensions by Gram
 rank and by the alternating sum over the reflection orbit, and the
-classification checks for the semisimple quotient.
+classification checks for the semisimple quotient.  ``CellVector`` is a
+:class:`tlq.exactnum.LinComb`; the cell action and the cell form run on
+:func:`tlq.exactnum.packed_products`.
 
 The dimension of the simple head L_t is *defined* computationally as the
 rank of the cell Gram matrix, found by exact Gaussian elimination over
@@ -11,22 +13,28 @@ computed by independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-
 from .diagram import (
     Diagram,
+    _cell_gram_exponents,
     compose_pairings,
     enumerate_monic,
     identity_pairing,
     monic_pairings,
     star_pairing,
 )
-from .exactnum import CycNum, CyclotomicField, ExactMatrix, cyclotomic_field
-from .tlalg import TLElement, _delta_powers, embedded_jones_wenzl
+from .exactnum import (
+    CycNum,
+    CyclotomicField,
+    ExactMatrix,
+    LinComb,
+    cyclotomic_field,
+    packed_products,
+    powers,
+)
+from .tlalg import TLElement, embedded_jones_wenzl
 
 
 def admissible_t(n: int) -> tuple[int, ...]:
@@ -51,10 +59,10 @@ class CellModule:
         return len(monic_pairings(self.t, self.n))
 
 
-class CellVector:
+class CellVector(LinComb):
     """A linear combination of monic (t, n)-diagrams."""
 
-    __slots__ = ("t", "n", "field", "terms")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -63,52 +71,19 @@ class CellVector:
         field: CyclotomicField,
         terms: Mapping[Diagram, CycNum] | None = None,
     ):
-        self.t = t
-        self.n = n
-        self.field = field
-        self.terms: dict[Diagram, CycNum] = {}
-        if terms:
-            for d, c in terms.items():
-                if d.src != t or d.dst != n:
-                    raise ValueError("diagram is not a (t, n)-diagram")
-                if c:
-                    self.terms[d] = c
+        super().__init__((t, n), field, terms)
+
+    t = property(lambda self: self.space[0])
+    n = property(lambda self: self.space[1])
+
+    def _check_key(self, d: Diagram) -> None:
+        if (d.src, d.dst) != self.space:
+            raise ValueError("diagram is not a (t, n)-diagram")
 
     @classmethod
     def from_diagram(cls, d: Diagram, level: int) -> CellVector:
         field = cyclotomic_field(level)
         return cls(d.src, d.dst, field, {d: field.one})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CellVector):
-            return NotImplemented
-        return (
-            (self.t, self.n, self.field.level) == (other.t, other.n, other.field.level)
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: CellVector) -> CellVector:
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d)
-            out[d] = c if s is None else s + c
-        return CellVector(self.t, self.n, self.field, out)
-
-    def __sub__(self, other: CellVector) -> CellVector:
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> CellVector:
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.field.from_fraction(Fraction(scalar))
-        return CellVector(
-            self.t, self.n, self.field, {d: c * scalar for d, c in self.terms.items()}
-        )
-
-    def coefficient(self, d: Diagram) -> CycNum:
-        return self.terms.get(d, self.field.zero)
 
     def __repr__(self) -> str:
         return f"CellVector(t={self.t}, n={self.n}, {len(self.terms)} terms)"
@@ -119,22 +94,23 @@ def cell_action(x: TLElement, v: CellVector) -> CellVector:
     if x.n != v.n or x.field.level != v.field.level:
         raise ValueError("strand count or level mismatch")
     t, n = v.t, v.n
-    field = v.field
-    pw = _delta_powers(field, 2 * n)
-    out: dict[Diagram, CycNum] = {}
-    for dv, cv in v.terms.items():
-        for dx, cx in x.terms.items():
-            pairing, loops = compose_pairings(t, n, n, dv.pairing, dx.pairing)
-            through = sum(1 for b in range(t) if pairing[b] >= t)
-            if through < t:
-                continue
-            c = cv * cx
-            if loops:
-                c = c * pw[loops]
-            d = Diagram(t, n, pairing)
-            s = out.get(d)
-            out[d] = c if s is None else s + c
-    return CellVector(t, n, field, out)
+
+    def combine(dv, dx):
+        pairing, loops = compose_pairings(t, n, n, dv.pairing, dx.pairing)
+        # A bottom point paired with a bottom point lowers the through-degree.
+        if min(pairing[:t], default=t) < t:
+            return None
+        return pairing, loops
+
+    # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of v.
+    products = packed_products(
+        v.field,
+        v.terms,
+        powers(v.field.delta, (n - t) // 2),
+        x.terms,
+        combine,
+    )
+    return v._like({Diagram._trusted(t, n, pr): c for pr, c in products.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -142,57 +118,36 @@ def cell_action(x: TLElement, v: CellVector) -> CellVector:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cell_gram_exponents(t: int, n: int) -> np.ndarray:
-    """exponents[i, j] = k when phi(D_i, D_j) = delta^k, or -1 when the
-    pairing vanishes; symmetric, level independent."""
-    basis = monic_pairings(t, n)
-    size = len(basis)
-    ident = identity_pairing(t)
-    out = np.full((size, size), -1, dtype=np.int16)
-    stars = [star_pairing(t + n, p) for p in basis]
-    for i in range(size):
-        si = stars[i]
-        for j in range(i, size):
-            pairing, loops = compose_pairings(t, n, t, basis[j], si)
-            if pairing == ident:
-                out[i, j] = loops
-                out[j, i] = loops
-    out.setflags(write=False)
-    return out
-
-
 def gram_matrix(t: int, n: int, level: int) -> ExactMatrix:
     """The cell form Gram matrix on the monic basis of W_t(n), exactly."""
     if t not in admissible_t(n):
         raise ValueError("t is not admissible for n")
     field = cyclotomic_field(level)
-    expo = _cell_gram_exponents(t, n)
-    pw = _delta_powers(field, int(expo.max(initial=0)) + 1)
-    zero = field.zero
-    rows = [
-        [zero if expo[i, j] < 0 else pw[int(expo[i, j])] for j in range(expo.shape[1])]
-        for i in range(expo.shape[0])
-    ]
-    return ExactMatrix(field, rows)
+    # Every closed loop uses one of the (n - t) / 2 top arcs of D_j.
+    pw = powers(field.delta, (n - t) // 2)
+    expo = _cell_gram_exponents(t, n).tolist()
+    return ExactMatrix(field, [[field.zero if e < 0 else pw[e] for e in row] for row in expo])
 
 
 def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
     """The bilinear cell form phi_t(v, w)."""
-    if (v.t, v.n, v.field.level) != (w.t, w.n, w.field.level):
-        raise ValueError("mismatched cell modules")
-    field = v.field
+    v._check_compatible(w)
     t, n = v.t, v.n
     ident = identity_pairing(t)
-    pw = _delta_powers(field, 2 * n)
-    total = field.zero
-    for dv, cv in v.terms.items():
-        sv = star_pairing(t + n, dv.pairing)
-        for dw, cw in w.terms.items():
-            pairing, loops = compose_pairings(t, n, t, dw.pairing, sv)
-            if pairing == ident:
-                total = total + cv * cw * pw[loops]
-    return total
+
+    def combine(sv, dw):
+        hit = compose_pairings(t, n, t, dw.pairing, sv)
+        return hit if hit[0] == ident else None
+
+    # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of w.
+    products = packed_products(
+        v.field,
+        {star_pairing(t + n, d.pairing): c for d, c in v.terms.items()},
+        powers(v.field.delta, (n - t) // 2),
+        w.terms,
+        combine,
+    )
+    return products.get(ident, v.field.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +225,12 @@ def annihilation_check(t: int, n: int, level: int) -> bool:
     field = cyclotomic_field(level)
     ej = embedded_jones_wenzl(level, n)
     basis = enumerate_monic(t, n)
-    index = {d: i for i, d in enumerate(basis)}
-    expo = _cell_gram_exponents(t, n)
-    pw = _delta_powers(field, int(expo.max(initial=0)) + 1)
+    gram = gram_matrix(t, n, level).rows
     for d in basis:
         image = cell_action(ej, CellVector.from_diagram(d, level))
-        if image.is_zero():
-            continue
-        support = [(index[dd], c) for dd, c in image.terms.items()]
-        for j in range(len(basis)):
-            total = field.zero
-            for i, c in support:
-                e = int(expo[i, j])
-                if e >= 0:
-                    total = total + c * pw[e]
-            if total:
+        support = [(i, image.terms[b]) for i, b in enumerate(basis) if b in image.terms]
+        # phi(E . D_i, D_j) is row j of the symmetric Gram matrix against the image.
+        for row in gram:
+            if sum((c * row[i] for i, c in support if row[i]), field.zero):
                 return False
     return True

@@ -4,7 +4,9 @@ sqrt(2) = delta), and the homomorphism from TL_n(q) at level 4.
 
 Blades are subsets of {1..n} encoded as bitmasks; the reordering sign is the
 parity of the transpositions needed to sort a concatenation, and each
-repeated generator contracts to a factor 1/2.
+repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
+:class:`tlq.exactnum.LinComb` whose product runs on
+:func:`tlq.exactnum.packed_products`, with the sign folded into the pair.
 """
 
 from __future__ import annotations
@@ -21,20 +23,25 @@ from .exactnum import (
     CycNum,
     CyclotomicField,
     ExactMatrix,
-    KroneckerPacking,
+    LinComb,
     cyclotomic_field,
+    packed_products,
+    powers,
 )
 from .tlalg import TLElement, _cyc_mod_p, _field_mod_p
 
 _LEVEL = 4
+_HALF = cyclotomic_field(_LEVEL).from_fraction(Fraction(1, 2))
 
 
 def _field() -> CyclotomicField:
     return cyclotomic_field(_LEVEL)
 
 
-def _mul_basis(j: int, k: int) -> tuple[int, int, int]:
-    """(result mask, sign, contractions) for gamma_J gamma_K."""
+def _mul_basis(j: int, k: int) -> tuple[int, int]:
+    """gamma_J gamma_K = +-(1/2)^c gamma_(J^K) as (J^K, c) for the plus sign
+    and (J^K, ~c) for the minus sign, the form of a pair in
+    :func:`tlq.exactnum.packed_products`."""
     swaps = 0
     rest = k
     while rest:
@@ -42,32 +49,23 @@ def _mul_basis(j: int, k: int) -> tuple[int, int, int]:
         pos = low.bit_length()  # bits strictly above this position in j
         swaps += (j >> pos).bit_count()
         rest ^= low
-    return j ^ k, (-1 if swaps & 1 else 1), (j & k).bit_count()
+    contractions = (j & k).bit_count()
+    return j ^ k, (~contractions if swaps & 1 else contractions)
 
 
-@lru_cache(maxsize=None)
-def _half_powers(upto: int) -> tuple[CycNum, ...]:
-    half = _field().from_fraction(Fraction(1, 2))
-    out = [_field().one]
-    for _ in range(upto):
-        out.append(out[-1] * half)
-    return tuple(out)
-
-
-class BladeElement:
+class BladeElement(LinComb):
     """A linear combination of blades gamma_J over Q(zeta_8)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[int, CycNum] | None = None):
-        self.n = n
-        self.terms: dict[int, CycNum] = {}
-        if terms:
-            for mask, c in terms.items():
-                if mask >> n:
-                    raise ValueError("blade uses a generator beyond n")
-                if c:
-                    self.terms[mask] = c
+        super().__init__(n, _field(), terms)
+
+    n = property(lambda self: self.space)
+
+    def _check_key(self, mask: int) -> None:
+        if mask >> self.n:
+            raise ValueError("blade uses a generator beyond n")
 
     @classmethod
     def zero(cls, n: int) -> BladeElement:
@@ -77,71 +75,31 @@ class BladeElement:
     def one(cls, n: int) -> BladeElement:
         return cls(n, {0: _field().one})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BladeElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: BladeElement) -> BladeElement:
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            s = out.get(mask)
-            out[mask] = c if s is None else s + c
-        return BladeElement(self.n, out)
-
-    def __neg__(self) -> BladeElement:
-        return BladeElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: BladeElement) -> BladeElement:
-        return self + (-other)
-
-    def scale(self, scalar) -> BladeElement:
-        if isinstance(scalar, (int, Fraction)):
-            scalar = _field().from_fraction(Fraction(scalar))
-        return BladeElement(self.n, {m: c * scalar for m, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> BladeElement:
-        if isinstance(scalar, (int, Fraction, CycNum)):
-            return self.scale(scalar)
-        return NotImplemented
-
     def __mul__(self, other) -> BladeElement:
         if isinstance(other, (int, Fraction, CycNum)):
             return self.scale(other)
-        if not isinstance(other, BladeElement):
+        if not isinstance(other, LinComb):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError("generator count mismatch")
+        self._check_compatible(other)
         if not self.terms or not other.terms:
-            return BladeElement(self.n)
+            return self._like({})
         # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
         most_contractions = min(
             max(j.bit_count() for j in self.terms),
             max(k.bit_count() for k in other.terms),
         )
-        halves = _half_powers(most_contractions)
-        xs = [c * h if e else c for c in self.terms.values() for e, h in enumerate(halves)]
-        pack = KroneckerPacking(
-            _field(), xs, other.terms.values(), len(self.terms) * len(other.terms)
+        return self._like(
+            packed_products(
+                self.field,
+                self.terms,
+                powers(_HALF, most_contractions),
+                other.terms,
+                _mul_basis,
+            )
         )
-        stride = len(halves)
-        yterms = list(zip(other.terms, pack.y))
-        acc: dict[int, int] = {}
-        for j, i in zip(self.terms, range(0, len(xs), stride)):
-            xrow = pack.x[i : i + stride]
-            for k, yk in yterms:
-                mask, sign, contractions = _mul_basis(j, k)
-                acc[mask] = acc.get(mask, 0) + sign * xrow[contractions] * yk
-        return BladeElement(self.n, {m: pack.unpack(t) for m, t in acc.items()})
 
     def constant_term(self) -> CycNum:
-        return self.terms.get(0, _field().zero)
+        return self.coefficient(0)
 
     def is_even(self) -> bool:
         return all(m.bit_count() % 2 == 0 for m in self.terms)
@@ -215,10 +173,7 @@ def phi(x: TLElement) -> BladeElement:
     if x.field.level != _LEVEL:
         raise ValueError("phi is defined at level 4")
     table = _phi_table(x.n)
-    out = BladeElement.zero(x.n)
-    for d, c in x.terms.items():
-        out = out + table[d.pairing].scale(c)
-    return out
+    return sum((table[d.pairing].scale(c) for d, c in x.terms.items()), BladeElement.zero(x.n))
 
 
 def even_masks(n: int) -> tuple[int, ...]:
@@ -246,15 +201,9 @@ def image_dimension(n: int) -> int:
 
 def _image_dimension_exact(n: int) -> int:
     """The rank of :func:`image_dimension` by exact elimination over Q(zeta)."""
-    col = {m: k for k, m in enumerate(even_masks(n))}
-    field = _field()
-    rows = []
-    for blade in _phi_table(n).values():
-        row = [field.zero] * len(col)
-        for m, c in blade.terms.items():
-            row[col[m]] = c
-        rows.append(row)
-    return ExactMatrix(field, rows).rank()
+    masks = even_masks(n)
+    rows = [[blade.coefficient(m) for m in masks] for blade in _phi_table(n).values()]
+    return ExactMatrix(_field(), rows).rank()
 
 
 def so_commutator_report(n: int) -> dict[str, bool]:

@@ -8,7 +8,9 @@ clockwise onto the left of the top line is a pure re-indexing, so planarity
 of the diagram is exactly non-crossingness of the involution on the index
 line, and the flat (0, t+n)-form of a diagram *is* its pairing tuple.
 
-All functions here are pure and all values immutable.
+All functions here are pure and all values immutable.  The level independent
+cell form table of W_t(n) lives here: at t = 0 on 2n points it is also the
+trace form table of TL_n, up to the column permutation by star.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .exactnum import LaurentPolyZ, quantum_factorial, quantum_int
 
@@ -272,6 +276,28 @@ def closure_loops(n: int, pairing: tuple[int, ...]) -> int:
             seen[j] = True
             i = size - 1 - j  # closure arcs also reverse the index line
     return loops
+
+
+@lru_cache(maxsize=None)
+def _cell_gram_exponents(t: int, n: int) -> np.ndarray:
+    """exponents[i, j] = k when the cell form pairs the monic (t, n)-diagrams
+    D_i and D_j to delta^k, or -1 when the pairing vanishes; symmetric, level
+    independent.  At t = 0 and 2n points it is the meander matrix, the trace
+    form of TL_n up to a column permutation."""
+    basis = monic_pairings(t, n)
+    size = len(basis)
+    ident = identity_pairing(t)
+    out = np.full((size, size), -1, dtype=np.int16)
+    stars = [star_pairing(t + n, p) for p in basis]
+    for i in range(size):
+        si = stars[i]
+        for j in range(i, size):
+            pairing, loops = compose_pairings(t, n, t, basis[j], si)
+            if pairing == ident:
+                out[i, j] = loops
+                out[j, i] = loops
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ Every scalar used by the algebra layers is a ``CycNum``: a residue modulo the
 2l-th cyclotomic polynomial with rational coefficients, stored as an integer
 coefficient vector over a common denominator.  There is no floating point
 anywhere in this module; approximations exist only for display purposes.
-Long sums of products (the algebra product and the Markov trace) run on
-``KroneckerPacking``: each coefficient vector is packed into one integer, so
-one integer multiply-add does a whole polynomial product and sum.
+Long sums of products run on ``KroneckerPacking``: each coefficient vector
+is packed into one integer, so one integer multiply-add does a whole
+polynomial product and sum.
+
+``LinComb`` is the one linear-combination type (elements of TL_n, cell
+vectors, Clifford blades): it owns sums, scalar multiples and comparisons,
+and ``packed_products`` is the one packed product loop over pairs of terms.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -20,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Collection, Sequence
+from typing import Callable, Collection, Hashable, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +138,12 @@ class LaurentPolyZ:
         return LaurentPolyZ({shift + k: c for k, c in enumerate(quot) if c})
 
     def evaluate(self, x: "CycNum") -> "CycNum":
-        """Evaluate at a field element (a ring homomorphism)."""
-        field = x.field
-        total = field.zero
+        """Evaluate at a field element (a ring homomorphism); x is inverted
+        at most once."""
+        total = x.field.zero
+        x_inv = x.inverse() if any(e < 0 for e in self.coeffs) else None
         for e, c in self.coeffs.items():
-            total = total + (x ** e) * c
+            total = total + (x**e if e >= 0 else x_inv ** -e) * c
         return total
 
     def __repr__(self) -> str:
@@ -507,6 +512,15 @@ class CycNum:
         return s
 
 
+@lru_cache(maxsize=None)
+def powers(x: CycNum, upto: int) -> tuple[CycNum, ...]:
+    """x^0, x^1, ..., x^upto: the weights of the packed products."""
+    out = [x.field.one]
+    for _ in range(upto):
+        out.append(out[-1] * x)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Packed multiply-accumulate (Kronecker substitution)
 # ---------------------------------------------------------------------------
@@ -582,6 +596,42 @@ class KroneckerPacking:
         return CycNum._make(self.field, self.den, self.field._reduce(prod))
 
 
+def packed_products(
+    field: CyclotomicField,
+    xterms: Mapping[Hashable, CycNum],
+    weights: Sequence[CycNum],
+    yterms: Mapping[Hashable, CycNum],
+    combine: Callable[[Hashable, Hashable], "tuple[Hashable, int] | None"],
+) -> dict[Hashable, CycNum]:
+    """Sums of products x * w * y over pairs of terms, one per result key.
+
+    ``combine(kx, ky)`` returns ``(key, l)`` when the pair adds
+    ``x * weights[l] * y`` to ``key``, ``(key, ~l)`` when it adds the
+    negated product, and None when it adds nothing.  ``weights[0]`` is one.
+    Every x is multiplied by every weight once and packed with its negation,
+    so a pair costs one integer multiply-add and a result key one unpack.
+    """
+    if not xterms or not yterms:
+        return {}
+    xs = [c * w if l else c for c in xterms.values() for l, w in enumerate(weights)]
+    pack = KroneckerPacking(field, xs, yterms.values(), len(xterms) * len(yterms))
+    stride = len(weights)
+    neg = [-v for v in pack.x]
+    xrows = [
+        # Index ~l of a row reads the negated product -x * weights[l].
+        (kx, pack.x[start : start + stride] + neg[start : start + stride][::-1])
+        for kx, start in zip(xterms, range(0, len(xs), stride))
+    ]
+    acc: dict[Hashable, int] = {}
+    for ky, y in zip(yterms, pack.y):
+        for kx, xrow in xrows:
+            hit = combine(kx, ky)
+            if hit is not None:
+                key, l = hit
+                acc[key] = acc.get(key, 0) + xrow[l] * y
+    return {key: pack.unpack(total) for key, total in acc.items()}
+
+
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
@@ -618,6 +668,95 @@ def _poly_sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = a + [Fraction(0)] * (n - len(a))
     b = b + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+# ---------------------------------------------------------------------------
+# Linear combinations
+# ---------------------------------------------------------------------------
+
+
+class LinComb:
+    """A finite linear combination: ``terms`` maps basis keys to nonzero
+    CycNums of ``field``, and ``space`` names where the keys live (the strand
+    count n, or (t, n) for a cell module).
+
+    A subclass checks a key in ``_check_key`` and defines its product.
+    Combining two elements raises ``ValueError`` unless they agree in class,
+    space and level.
+    """
+
+    __slots__ = ("space", "field", "terms")
+
+    def __init__(self, space, field: CyclotomicField, terms: Mapping | None = None):
+        self.space = space
+        self.field = field
+        self.terms: dict = {}
+        for key, c in (terms or {}).items():
+            self._check_key(key)
+            if c.field.level != field.level:
+                raise ValueError(f"a level-{c.field.level} coefficient at level {field.level}")
+            if c:
+                self.terms[key] = c
+
+    def _check_key(self, key) -> None:
+        raise NotImplementedError
+
+    def _kind(self) -> tuple:
+        """What two combinations must share: (class, space, level)."""
+        return type(self).__name__, self.space, self.field.level
+
+    def _check_compatible(self, other: LinComb) -> None:
+        if other._kind() != self._kind():
+            raise ValueError(f"cannot combine {self._kind()} with {other._kind()}")
+
+    def _like(self, terms: Mapping):
+        """A combination in this space from keys that are valid by
+        construction; zero coefficients are dropped."""
+        out = object.__new__(type(self))
+        out.space, out.field = self.space, self.field
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
+
+    def coefficient(self, key) -> CycNum:
+        return self.terms.get(key, self.field.zero)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return other._kind() == self._kind() and other.terms == self.terms
+
+    def __hash__(self) -> int:
+        return hash((self._kind(), frozenset(self.terms.items())))
+
+    def __add__(self, other: LinComb):
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other: LinComb):
+        return self + (-other)
+
+    def scale(self, scalar: int | Fraction | CycNum):
+        return self._like({key: c * scalar for key, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        if isinstance(scalar, (int, Fraction, CycNum)):
+            return self.scale(scalar)
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------

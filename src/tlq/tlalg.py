@@ -7,11 +7,11 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 :mod:`tlq.cellrep`.  One closed loop removed during stacking contributes one
 factor of delta = -(q + 1/q).
 
-Products and the trace run on :class:`tlq.exactnum.KroneckerPacking`: the
-coefficients are packed into integers once, every diagram pair adds one
+``TLElement`` is a :class:`tlq.exactnum.LinComb`, and its product is one
+call of :func:`tlq.exactnum.packed_products`: every diagram pair adds one
 integer product to the accumulator of its result diagram, and each result is
-unpacked into one ``CycNum``.  Neither enumerates the diagram basis, so both
-work at any n.
+unpacked into one ``CycNum``.  The trace packs its coefficients the same way.
+Neither enumerates the diagram basis, so both work at any n.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -34,6 +34,7 @@ from . import _intlinalg
 from .combinatorics import catalan
 from .diagram import (
     Diagram,
+    _cell_gram_exponents,
     closure_loops,
     compose_pairings,
     embed_pairing,
@@ -43,6 +44,7 @@ from .diagram import (
     nesting_forest,
     rotate_to_flat,
     star,
+    star_pairing,
     tl_basis,
     through_strands,
     tl_pairings,
@@ -52,15 +54,18 @@ from .exactnum import (
     CyclotomicField,
     ExactMatrix,
     KroneckerPacking,
+    LinComb,
     cyclotomic_field,
+    packed_products,
+    powers,
     quantum_int,
 )
 
 
-class TLElement:
+class TLElement(LinComb):
     """A finite linear combination of (n, n)-diagrams over Q(zeta_{2l})."""
 
-    __slots__ = ("n", "field", "terms")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -68,15 +73,13 @@ class TLElement:
         field: CyclotomicField,
         terms: Mapping[Diagram, CycNum] | None = None,
     ):
-        self.n = n
-        self.field = field
-        self.terms: dict[Diagram, CycNum] = {}
-        if terms:
-            for d, c in terms.items():
-                if d.src != n or d.dst != n:
-                    raise ValueError("diagram does not live in TL_n")
-                if c:
-                    self.terms[d] = c
+        super().__init__(n, field, terms)
+
+    n = property(lambda self: self.space)
+
+    def _check_key(self, d: Diagram) -> None:
+        if d.src != self.n or d.dst != self.n:
+            raise ValueError("diagram does not live in TL_n")
 
     # -- constructors ---------------------------------------------------
 
@@ -94,102 +97,34 @@ class TLElement:
         field = cyclotomic_field(level)
         return cls(d.src, field, {d: field.one})
 
-    # -- structure ------------------------------------------------------
-
-    def coefficient(self, d: Diagram) -> CycNum:
-        return self.terms.get(d, self.field.zero)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.field.level == other.field.level
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.field.level, frozenset(self.terms.items())))
-
-    def _check_compatible(self, other: TLElement):
-        if self.n != other.n or self.field.level != other.field.level:
-            raise ValueError("strand count or level mismatch")
-
-    # -- linear operations ------------------------------------------------
-
-    def __add__(self, other: TLElement) -> TLElement:
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d)
-            out[d] = c if s is None else s + c
-        return TLElement(self.n, self.field, out)
-
-    def __neg__(self) -> TLElement:
-        return TLElement(self.n, self.field, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: TLElement) -> TLElement:
-        return self + (-other)
-
-    def scale(self, scalar) -> TLElement:
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.field.from_fraction(Fraction(scalar))
-        return TLElement(
-            self.n, self.field, {d: c * scalar for d, c in self.terms.items()}
-        )
-
-    def __rmul__(self, scalar) -> TLElement:
-        if isinstance(scalar, (int, Fraction, CycNum)):
-            return self.scale(scalar)
-        return NotImplemented
-
     # -- multiplication ----------------------------------------------------
 
     def __mul__(self, other) -> TLElement:
         if isinstance(other, (int, Fraction, CycNum)):
             return self.scale(other)
-        if not isinstance(other, TLElement):
+        if not isinstance(other, LinComb):
             return NotImplemented
         self._check_compatible(other)
-        n, field = self.n, self.field
         if not self.terms or not other.terms:
-            return TLElement(n, field)
+            return self._like({})
+        n = self.n
         # A loop closed in the glued row uses a bottom arc of x and a top arc
         # of y, and an (n, n)-diagram with s through strands has (n - s) / 2
-        # of each; x_i * delta^l for l up to the smaller of the two largest
-        # arc counts covers every pair.
+        # of each; delta^l for l up to the smaller of the two largest arc
+        # counts covers every pair.
         most_loops = min(
             max(n - through_strands(d) for d in self.terms),
             max(n - through_strands(d) for d in other.terms),
         ) // 2
-        pw = _delta_powers(field, most_loops)
-        xs = [c * p if l else c for c in self.terms.values() for l, p in enumerate(pw)]
-        pack = KroneckerPacking(
-            field, xs, other.terms.values(), len(self.terms) * len(other.terms)
+        products = packed_products(
+            self.field,
+            self.terms,
+            powers(self.field.delta, most_loops),
+            other.terms,
+            # "apply y, then x": stack x on top of y.
+            lambda dx, dy: compose_pairings(n, n, n, dy.pairing, dx.pairing),
         )
-        stride = len(pw)
-        xrows = [
-            (dx.pairing, pack.x[k : k + stride])
-            for dx, k in zip(self.terms, range(0, len(xs), stride))
-        ]
-        acc: dict[tuple[int, ...], int] = {}
-        for dy, yj in zip(other.terms, pack.y):
-            py = dy.pairing
-            for px, xrow in xrows:
-                # "apply y, then x": stack x on top of y.
-                pairing, loops = compose_pairings(n, n, n, py, px)
-                acc[pairing] = acc.get(pairing, 0) + xrow[loops] * yj
-        return TLElement(
-            n,
-            field,
-            {Diagram._trusted(n, n, pr): pack.unpack(t) for pr, t in acc.items()},
-        )
+        return self._like({Diagram._trusted(n, n, pr): c for pr, c in products.items()})
 
     def __pow__(self, k: int) -> TLElement:
         if k < 0:
@@ -205,9 +140,7 @@ class TLElement:
 
     def star(self) -> TLElement:
         """The * anti-automorphism: reflect every diagram, keep coefficients."""
-        return TLElement(
-            self.n, self.field, {star(d): c for d, c in self.terms.items()}
-        )
+        return self._like({star(d): c for d, c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -217,17 +150,9 @@ class TLElement:
 
 
 @lru_cache(maxsize=None)
-def _delta_powers(field: CyclotomicField, upto: int) -> tuple[CycNum, ...]:
-    out = [field.one]
-    for _ in range(upto):
-        out.append(out[-1] * field.delta)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _delta_inverse_power(field: CyclotomicField, n: int) -> CycNum:
     """delta^(-n), the normalization of the Markov trace on TL_n."""
-    return _delta_powers(field, n)[n].inverse()
+    return powers(field.delta, n)[n].inverse()
 
 
 def generator(n: int, i: int, level: int) -> TLElement:
@@ -260,7 +185,7 @@ def jones_trace(x: TLElement) -> CycNum:
     # Coefficients are summed per loop count c <= n, and each sum is
     # multiplied by delta^c once.
     pack = KroneckerPacking(
-        field, x.terms.values(), _delta_powers(field, n), len(x.terms)
+        field, x.terms.values(), powers(field.delta, n), len(x.terms)
     )
     sums: dict[int, int] = {}
     for d, xi in zip(x.terms, pack.x):
@@ -330,35 +255,19 @@ def jones_wenzl_by_recursion(level: int) -> TLElement:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _closure_exponents(n: int) -> np.ndarray:
-    """c(i, j) with tr(D_i D_j) = delta^(c(i,j) - n) over the diagram basis;
-    symmetric, cached per strand count, level independent."""
-    basis = tl_pairings(n)
-    size = len(basis)
-    out = np.zeros((size, size), dtype=np.int16)
-    for i in range(size):
-        pi = basis[i]
-        for j in range(i, size):
-            pairing, loops = compose_pairings(n, n, n, basis[j], pi)
-            c = loops + closure_loops(n, pairing)
-            out[i, j] = c
-            out[j, i] = c
-    out.setflags(write=False)
-    return out
-
-
 def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     """Gram matrix G[D, D'] = tr(D D') of the Jones trace over the diagram
-    basis of TL_n.  Exact; intended for moderate n."""
+    basis of TL_n.  Exact; intended for moderate n.  tr(D_i D_j) is delta^-n
+    times the cell form of the flat diagrams D_i and star(D_j) in W_0(2n)."""
     field = cyclotomic_field(level)
-    expo = _closure_exponents(n)
-    size = expo.shape[0]
-    pw = _delta_powers(field, 2 * n)
+    basis = tl_pairings(n)
+    index = {pairing: i for i, pairing in enumerate(basis)}
+    stars = [index[star_pairing(2 * n, pairing)] for pairing in basis]
+    # A closed picture on 2n points has at most n loops.
     dinv_n = _delta_inverse_power(field, n)
-    cache = {c: pw[c] * dinv_n for c in np.unique(expo)}
-    rows = [[cache[int(expo[i, j])] for j in range(size)] for i in range(size)]
-    return ExactMatrix(field, rows)
+    scaled = [p * dinv_n for p in powers(field.delta, n)]
+    expo = _cell_gram_exponents(0, 2 * n)[:, stars]
+    return ExactMatrix(field, [[scaled[c] for c in row] for row in expo.tolist()])
 
 
 def _cyc_mod_p(c: CycNum, p: int, zeta_pows: list[int]) -> int:
@@ -383,7 +292,9 @@ def _field_mod_p(level: int, p: int) -> tuple[int, list[int]]:
 
 
 def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
-    expo = _closure_exponents(n)
+    # The W_0(2n) cell form table is the trace exponent table up to a column
+    # permutation, which keeps the rank.
+    expo = _cell_gram_exponents(0, 2 * n)
     table = np.array([pow(dmod, c, p) for c in range(int(expo.max()) + 1)], dtype=np.float64)
     ech = _intlinalg.ModpEchelon(expo.shape[1], p)
     ech.add_rows(table[expo])
@@ -395,15 +306,17 @@ def _assert_trace_kills_ideal(level: int, n: int):
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
     field = cyclotomic_field(level)
     ej = embedded_jones_wenzl(level, n)
-    eterms = [(d.pairing, c) for d, c in ej.terms.items()]
-    pw = _delta_powers(field, 3 * n)
+    eterms = [d.pairing for d in ej.terms]
+    # The closure of y E has at most n loops (each passes through two of its
+    # 2n points); the E coefficients are packed against delta^0..delta^n once.
+    pack = KroneckerPacking(field, ej.terms.values(), powers(field.delta, n), len(eterms))
     for y in tl_pairings(n):
-        total = field.zero
-        for pe, ce in eterms:
+        total = 0
+        for pe, xe in zip(eterms, pack.x):
             pairing, loops = compose_pairings(n, n, n, y, pe)
-            total = total + ce * pw[loops + closure_loops(n, pairing)]
+            total += xe * pack.y[loops + closure_loops(n, pairing)]
         # tr(E y) is this sum times delta^(-n), so it vanishes with the sum.
-        if total:
+        if pack.unpack(total):
             raise ArithmeticError(
                 f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
             )
@@ -526,30 +439,13 @@ def ideal_dimension(level: int, n: int) -> int:
 def _ideal_dimension_exact(level: int, n: int) -> int:
     """dim <E_{l-1}> by exact elimination of every product a E b over the
     diagram basis; the test reference for :func:`ideal_dimension`."""
-    field = cyclotomic_field(level)
-    basis = tl_pairings(n)
-    size = len(basis)
-    index = {pairing: i for i, pairing in enumerate(basis)}
+    basis = tl_basis(n)
+    units = [TLElement.from_diagram(d, level) for d in basis]
     ej = embedded_jones_wenzl(level, n)
-    eterms = [(d.pairing, c) for d, c in ej.terms.items()]
-    pw = _delta_powers(field, 3 * n)
-    rows: dict[tuple, list[CycNum]] = {}
-    for pa in basis:
-        for pb in basis:
-            vec = [field.zero] * size
-            for pe, ce in eterms:
-                mid, l1 = compose_pairings(n, n, n, pb, pe)
-                res, l2 = compose_pairings(n, n, n, mid, pa)
-                k = index[res]
-                vec[k] = vec[k] + ce * pw[l1 + l2]
-            key = tuple(
-                (k, c.den, c.num) for k, c in enumerate(vec) if not c.is_zero()
-            )
-            if key and key not in rows:
-                rows[key] = vec
-    if not rows:
-        return 0
-    return ExactMatrix(field, list(rows.values())).rank()
+    right = [ej * b for b in units]
+    products = dict.fromkeys(a * eb for a in units for eb in right)
+    rows = [[x.coefficient(d) for d in basis] for x in products if x]
+    return ExactMatrix(ej.field, rows).rank() if rows else 0
 
 
 def trace_gram_rank(level: int, n: int) -> int:

@@ -8,9 +8,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from tlq.diagram import Diagram, closure_loops, compose_pairings
-from tlq.exactnum import CycNum, cyclotomic_field
-from tlq.tlalg import TLElement, _delta_powers
+from tlq.cellrep import CellVector
+from tlq.clifford import BladeElement, _field
+from tlq.diagram import Diagram, closure_loops, compose_pairings, identity_pairing, star_pairing
+from tlq.exactnum import CycNum, KroneckerPacking, LaurentPolyZ, cyclotomic_field
+from tlq.tlalg import TLElement
+
+
+def _powers(x: CycNum, upto: int) -> tuple[CycNum, ...]:
+    out = [x.field.one]
+    for _ in range(upto):
+        out.append(out[-1] * x)
+    return tuple(out)
+
+
+def _delta_powers(field, upto: int) -> tuple[CycNum, ...]:
+    return _powers(field.delta, upto)
+
+
+def _half_powers(upto: int) -> tuple[CycNum, ...]:
+    return _powers(_field().from_fraction(Fraction(1, 2)), upto)
 
 
 def slow_blade_product(
@@ -119,3 +136,97 @@ def markov_trace(x: TLElement) -> CycNum:
     for d, c in x.terms.items():
         total = total + c * pw[closure_loops(n, d.pairing)]
     return total * dinv_n
+
+
+def laurent_evaluate(poly: LaurentPolyZ, x: CycNum) -> CycNum:
+    """A Laurent polynomial at x, one power x ** e per term (each negative
+    exponent inverts x afresh); the reference for ``LaurentPolyZ.evaluate``."""
+    total = x.field.zero
+    for e, c in poly.coeffs.items():
+        total = total + (x**e) * c
+    return total
+
+
+# The three loops below are the cell action, the cell form and the blade
+# product as each type computed them before the shared packed product loop.
+
+
+def cell_action(x: TLElement, v: CellVector) -> CellVector:
+    """The cellular action: compose and drop terms of lower through-degree."""
+    if x.n != v.n or x.field.level != v.field.level:
+        raise ValueError("strand count or level mismatch")
+    t, n = v.t, v.n
+    field = v.field
+    pw = _delta_powers(field, 2 * n)
+    out: dict[Diagram, CycNum] = {}
+    for dv, cv in v.terms.items():
+        for dx, cx in x.terms.items():
+            pairing, loops = compose_pairings(t, n, n, dv.pairing, dx.pairing)
+            through = sum(1 for b in range(t) if pairing[b] >= t)
+            if through < t:
+                continue
+            c = cv * cx
+            if loops:
+                c = c * pw[loops]
+            d = Diagram(t, n, pairing)
+            s = out.get(d)
+            out[d] = c if s is None else s + c
+    return CellVector(t, n, field, out)
+
+
+def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
+    """The bilinear cell form phi_t(v, w)."""
+    if (v.t, v.n, v.field.level) != (w.t, w.n, w.field.level):
+        raise ValueError("mismatched cell modules")
+    field = v.field
+    t, n = v.t, v.n
+    ident = identity_pairing(t)
+    pw = _delta_powers(field, 2 * n)
+    total = field.zero
+    for dv, cv in v.terms.items():
+        sv = star_pairing(t + n, dv.pairing)
+        for dw, cw in w.terms.items():
+            pairing, loops = compose_pairings(t, n, t, dw.pairing, sv)
+            if pairing == ident:
+                total = total + cv * cw * pw[loops]
+    return total
+
+
+def _mul_basis(j: int, k: int) -> tuple[int, int, int]:
+    """(result mask, sign, contractions) for gamma_J gamma_K."""
+    swaps = 0
+    rest = k
+    while rest:
+        low = rest & (-rest)
+        pos = low.bit_length()  # bits strictly above this position in j
+        swaps += (j >> pos).bit_count()
+        rest ^= low
+    return j ^ k, (-1 if swaps & 1 else 1), (j & k).bit_count()
+
+
+def blade_product(self: BladeElement, other: BladeElement) -> BladeElement:
+    """The blade product with its own packed loop and the sign applied as an
+    integer factor per pair."""
+    if self.n != other.n:
+        raise ValueError("generator count mismatch")
+    if not self.terms or not other.terms:
+        return BladeElement(self.n)
+    # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
+    most_contractions = min(
+        max(j.bit_count() for j in self.terms),
+        max(k.bit_count() for k in other.terms),
+    )
+    halves = _half_powers(most_contractions)
+    xs = [c * h if e else c for c in self.terms.values() for e, h in enumerate(halves)]
+    pack = KroneckerPacking(
+        _field(), xs, other.terms.values(), len(self.terms) * len(other.terms)
+    )
+    stride = len(halves)
+    yterms = list(zip(other.terms, pack.y))
+    acc: dict[int, int] = {}
+    for j, i in zip(self.terms, range(0, len(xs), stride)):
+        xrow = pack.x[i : i + stride]
+        for k, yk in yterms:
+            mask, sign, contractions = _mul_basis(j, k)
+            acc[mask] = acc.get(mask, 0) + sign * xrow[contractions] * yk
+    return BladeElement(self.n, {m: pack.unpack(t) for m, t in acc.items()})

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_rank, quantum_int_by_ratio
+from oracles import fraction_rank, laurent_evaluate, quantum_int_by_ratio
 from tlq import exactnum
 from tlq.exactnum import (
     CycNum,
@@ -274,3 +274,30 @@ def test_packing_checks_hold_under_python_O():
     )
     assert result.returncode == 0, result.stdout[-2000:]
     assert " passed" in result.stdout
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_laurent_evaluate_matches_per_term_powers(level, monkeypatch):
+    field = cyclotomic_field(level)
+    rng = random.Random(level)
+    polys = [quantum_factorial(5), quantum_int(4) * quantum_int(7), LaurentPolyZ.one(), LaurentPolyZ()]
+    polys += [
+        LaurentPolyZ({rng.randint(-9, 9): rng.randint(-(2**70), 2**70) for _ in range(6)})
+        for _ in range(10)
+    ]
+    points = (field.q, field.zeta, field.delta, field.from_coeffs(7, list(range(1, field.degree + 1))))
+    expected = [[laurent_evaluate(p, x) for x in points] for p in polys]
+    calls = []
+    real = exactnum.CycNum.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(exactnum.CycNum, "inverse", counted)
+    for p, row in zip(polys, expected):
+        for x, value in zip(points, row):
+            del calls[:]
+            assert p.evaluate(x) == value
+            # x is inverted at most once, and only when a negative power occurs.
+            assert len(calls) == (1 if any(e < 0 for e in p.coeffs) else 0)

@@ -315,3 +315,30 @@ def test_trace_of_idempotent_times_basis_vanishes():
         e = embedded_jones_wenzl(level, n)
         for d in tl_basis(n):
             assert jones_trace(e * TLElement.from_diagram(d, level)).is_zero()
+
+
+def test_trace_of_a_broken_idempotent_is_caught(monkeypatch):
+    # With E + f_1 in place of E, tr((E + f_1) y) != 0 for some y, and the
+    # exact check inside radical_split must refuse to pin.
+    real = tlalg.embedded_jones_wenzl
+
+    def broken(level, n):
+        return real(level, n) + generator(n, 1, level)
+
+    monkeypatch.setattr(tlalg, "embedded_jones_wenzl", broken)
+    for level, n in ((3, 3), (4, 5), (5, 6)):
+        with pytest.raises(ArithmeticError, match="radical theorem"):
+            _fresh_split(level, n)
+
+
+@pytest.mark.parametrize("level", (3, 4, 5, 6))
+def test_trace_gram_matrix_entries_are_traces_of_products(level):
+    # The entries come from the W_0(2n) cell form table with its columns
+    # permuted by star; each must be the per-term trace of the per-term
+    # product D_i D_j.
+    for n in range(1, 6):
+        basis = [TLElement.from_diagram(d, level) for d in tl_basis(n)]
+        gram = trace_gram_matrix(level, n)
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                assert gram.rows[i][j] == markov_trace(tl_product(x, y)), (n, i, j)
