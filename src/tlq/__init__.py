@@ -7,7 +7,6 @@ verified by at least two independent computational routes.
 """
 
 from .cellrep import (
-    CellModule,
     CellVector,
     admissible_t,
     annihilation_check,

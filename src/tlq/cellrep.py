@@ -12,7 +12,6 @@ computed by independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -22,7 +21,6 @@ from .diagram import (
     compose_pairings,
     enumerate_monic,
     identity_pairing,
-    monic_pairings,
     star_pairing,
 )
 from .exactnum import (
@@ -40,23 +38,6 @@ from .tlalg import TLElement, embedded_jones_wenzl
 def admissible_t(n: int) -> tuple[int, ...]:
     """T(n): the through-strand labels 0 <= t <= n with t = n (mod 2)."""
     return tuple(range(n % 2, n + 1, 2))
-
-
-@dataclass(frozen=True)
-class CellModule:
-    """The cell module W_t(n) with its monic diagram basis."""
-
-    t: int
-    n: int
-    level: int
-
-    @property
-    def basis(self) -> tuple[Diagram, ...]:
-        return enumerate_monic(self.t, self.n)
-
-    @property
-    def dim(self) -> int:
-        return len(monic_pairings(self.t, self.n))
 
 
 class CellVector(LinComb):

@@ -23,12 +23,14 @@ from .exactnum import (
     CycNum,
     CyclotomicField,
     ExactMatrix,
+    KroneckerPacking,
     LinComb,
     cyclotomic_field,
+    mod_p_image,
     packed_products,
     powers,
 )
-from .tlalg import TLElement, _cyc_mod_p, _field_mod_p
+from .tlalg import TLElement
 
 _LEVEL = 4
 _HALF = cyclotomic_field(_LEVEL).from_fraction(Fraction(1, 2))
@@ -172,8 +174,20 @@ def phi(x: TLElement) -> BladeElement:
     algebra, determined by the generator images."""
     if x.field.level != _LEVEL:
         raise ValueError("phi is defined at level 4")
-    table = _phi_table(x.n)
-    return sum((table[d.pairing].scale(c) for d, c in x.terms.items()), BladeElement.zero(x.n))
+    out = BladeElement.zero(x.n)
+    if not x.terms:
+        return out
+    images = [_phi_table(x.n)[d.pairing].terms for d in x.terms]
+    # A blade takes at most one product from each diagram of x.
+    pack = KroneckerPacking(
+        out.field, x.terms.values(), [c for img in images for c in img.values()], len(images)
+    )
+    ys = iter(pack.y)
+    acc: dict[int, int] = {}
+    for xi, img in zip(pack.x, images):
+        for mask, y in zip(img, ys):
+            acc[mask] = acc.get(mask, 0) + xi * y
+    return out._like({mask: pack.unpack(total) for mask, total in acc.items()})
 
 
 def even_masks(n: int) -> tuple[int, ...]:
@@ -189,11 +203,11 @@ def image_dimension(n: int) -> int:
     table = _phi_table(n)
     col = {m: k for k, m in enumerate(even_masks(n))}
     p = next(_intlinalg.working_primes(order=2 * _LEVEL))
-    _, zpows = _field_mod_p(_LEVEL, p)
+    image = mod_p_image(_LEVEL, p)
     rows = np.zeros((len(table), len(col)))
     for r, blade in enumerate(table.values()):
         for m, c in blade.terms.items():
-            rows[r, col[m]] = _cyc_mod_p(c, p, zpows)
+            rows[r, col[m]] = image(c)
     if _intlinalg.modp_rank_with_pivots(rows, p)[0] == len(col):
         return len(col)
     return _image_dimension_exact(n)

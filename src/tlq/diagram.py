@@ -101,10 +101,6 @@ def through_strands(d: Diagram) -> int:
     return sum(1 for b in range(d.src) if d.pairing[b] >= d.src)
 
 
-def is_monic(d: Diagram) -> bool:
-    return through_strands(d) == d.src
-
-
 @lru_cache(maxsize=None)
 def monic_pairings(t: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All pairings of monic diagrams t -> n, in lexicographic order."""

@@ -5,6 +5,11 @@ Every scalar used by the algebra layers is a ``CycNum``: a residue modulo the
 2l-th cyclotomic polynomial with rational coefficients, stored as an integer
 coefficient vector over a common denominator.  There is no floating point
 anywhere in this module; approximations exist only for display purposes.
+This module is the one place that knows that representation: each field
+keeps one table of zeta^0 .. zeta^(2l-1), the inverse is the product of the
+Galois conjugates over the (checked) rational norm, ``_poly_divexact`` is
+the one polynomial long division, and ``mod_p_image`` is the one reduction
+of the field into GF(p).
 Long sums of products run on ``KroneckerPacking``: each coefficient vector
 is packed into one integer, so one integer multiply-add does a whole
 polynomial product and sum.
@@ -25,6 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Collection, Hashable, Mapping, Sequence
+
+from ._intlinalg import root_of_unity
 
 
 # ---------------------------------------------------------------------------
@@ -116,26 +123,10 @@ class LaurentPolyZ:
             return LaurentPolyZ()
         # Shift both to ordinary polynomials and long-divide.
         sa, sb = self.min_exponent(), other.min_exponent()
-        da, db = self.max_exponent() - sa, other.max_exponent() - sb
-        if da < db:
-            raise ArithmeticError("non-exact Laurent division")
-        num = [self.coeffs.get(sa + k, 0) for k in range(da + 1)]
-        den = [other.coeffs.get(sb + k, 0) for k in range(db + 1)]
-        lead = den[db]
-        quot = [0] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            top = num[k + db]
-            if top % lead:
-                raise ArithmeticError("non-exact Laurent division")
-            q = top // lead
-            quot[k] = q
-            if q:
-                for j in range(db + 1):
-                    num[k + j] -= q * den[j]
-        if any(num):
-            raise ArithmeticError("non-exact Laurent division")
-        shift = sa - sb
-        return LaurentPolyZ({shift + k: c for k, c in enumerate(quot) if c})
+        num = [self.coeffs.get(e, 0) for e in range(sa, self.max_exponent() + 1)]
+        den = [other.coeffs.get(e, 0) for e in range(sb, other.max_exponent() + 1)]
+        quot = _poly_divexact(num, den)
+        return LaurentPolyZ({sa - sb + k: c for k, c in enumerate(quot)})
 
     def evaluate(self, x: "CycNum") -> "CycNum":
         """Evaluate at a field element (a ring homomorphism); x is inverted
@@ -192,7 +183,9 @@ def quantum_factorial(m: int) -> LaurentPolyZ:
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials (den monic up to sign at top).
+    """The quotient of integer polynomials (coefficients low to high, den with
+    a nonzero top coefficient); raises ``ArithmeticError`` unless it is exact
+    with integer coefficients."""
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
     lead = den[dd]
@@ -202,8 +195,9 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
         if r:
             raise ArithmeticError("non-exact polynomial division")
         quot[k] = q
-        for j in range(dd + 1):
-            num[k + j] -= q * den[j]
+        if q:
+            for j in range(dd + 1):
+                num[k + j] -= q * den[j]
     if any(num):
         raise ArithmeticError("non-exact polynomial division")
     return quot
@@ -239,20 +233,22 @@ class CyclotomicField:
         self.modulus = cyclotomic_polynomial(2 * level)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # x^(d+k) mod Phi as integer rows, for k = 0 .. d-2, kept as their
-        # nonzero (index, coefficient) entries.
-        red: list[tuple[int, ...]] = []
-        base = tuple(-c for c in self.modulus[:d])
-        red.append(base)
-        for _ in range(1, d - 1):
-            prev = red[-1]
-            row = [0] + list(prev[: d - 1])
-            top = prev[d - 1]
-            if top:
-                row = [row[j] + top * base[j] for j in range(d)]
-            red.append(tuple(row))
+        # zeta^k for k = 0 .. 2l-1 as integer coefficient rows: each row is
+        # the previous one times x, with x^d replaced by x^d - Phi_{2l}.
+        pows = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+        for _ in range(d, 2 * level):
+            prev = pows[-1]
+            pows.append(tuple(a - prev[-1] * m for a, m in zip((0,) + prev[:-1], self.modulus)))
+        self._zeta_powers = tuple(pows)
+        # x^(d+k) mod Phi for k = 0 .. d-2 (d <= l, so the table holds them),
+        # kept as their nonzero (index, coefficient) entries.
         self._red = tuple(
-            tuple((j, v) for j, v in enumerate(row) if v) for row in red
+            tuple((j, v) for j, v in enumerate(row) if v) for row in pows[d : 2 * d - 1]
+        )
+        # The exponents k of the automorphisms zeta -> zeta^k other than the
+        # identity: the units of Z/2l.
+        self._conjugates = tuple(
+            k for k in range(2, 2 * level) if math.gcd(k, 2 * level) == 1
         )
         self.zero = CycNum(self, 1, (0,) * d)
         self.one = CycNum(self, 1, (1,) + (0,) * (d - 1))
@@ -277,23 +273,7 @@ class CyclotomicField:
         return CycNum._make(self, den, list(num))
 
     def from_zeta_power(self, k: int) -> CycNum:
-        k %= 2 * self.level
-        vec = [0] * self.degree
-        if k < self.degree:
-            vec[k] = 1
-            return CycNum(self, 1, tuple(vec))
-        # zeta^k with k >= degree: reduce x^k by repeated squaring on CycNums.
-        base = [0] * self.degree
-        base[1] = 1
-        out = self.one
-        z = CycNum(self, 1, tuple(base))
-        e = k
-        while e:
-            if e & 1:
-                out = out * z
-            z = z * z
-            e >>= 1
-        return out
+        return CycNum(self, 1, self._zeta_powers[k % (2 * self.level)])
 
     def _reduce(self, prod: list[int]) -> list[int]:
         """Coefficients of a polynomial of degree < 2d-1 modulo Phi_{2l}."""
@@ -431,33 +411,27 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[x] modulo the cyclotomic polynomial."""
+        """Multiplicative inverse by the Galois norm.
+
+        With A = den * self (integer coefficients) and R the product of the
+        conjugates sigma_k(A), sigma_k: zeta -> zeta^k for the units k != 1
+        of Z/2l, the norm N = A * R is a nonzero integer and
+        1/self = den * R / N.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        d = self.field.degree
-        den = Fraction(self.den)
-        a = [Fraction(v) / den for v in self.num]
-        m = [Fraction(c) for c in self.field.modulus]
-        # Extended gcd of a and m over Q[x]; m is irreducible so gcd is 1.
-        r0, r1 = list(m), list(a)
-        t0: list[Fraction] = [Fraction(0)]
-        t1: list[Fraction] = [Fraction(1)]
-        while True:
-            r1 = _poly_trim(r1)
-            if len(r1) == 1 and r1[0] == 0:
-                raise ZeroDivisionError("element is not invertible")
-            if len(r1) == 1:
-                const = r1[0]
-                inv = [c / const for c in t1]
-                break
-            q, r = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub_q(t0, _poly_mul_q(q, t1))
-        inv = inv + [Fraction(0)] * (d - len(inv))
-        common = math.lcm(*(c.denominator for c in inv)) if inv else 1
-        vec = [int(c * common) for c in inv[:d]]
-        return CycNum._make(self.field, common, vec)
+        field = self.field
+        pows, order = field._zeta_powers, 2 * field.level
+        rest = None
+        for k in field._conjugates:
+            # sigma_k(A) = sum of a_j zeta^(jk), in integers from the table.
+            rows = [[v * z for z in pows[j * k % order]] for j, v in enumerate(self.num) if v]
+            conj = CycNum(field, 1, tuple(map(sum, zip(*rows))))
+            rest = conj if rest is None else rest * conj
+        norm = CycNum(field, 1, self.num) * rest
+        if norm.den != 1 or any(norm.num[1:]) or not norm.num[0]:
+            raise ArithmeticError("the conjugates do not multiply to a nonzero rational norm")
+        return CycNum._make(field, norm.num[0], [self.den * v for v in rest.num])
 
     def __truediv__(self, other) -> CycNum:
         other = self._coerce(other)
@@ -519,6 +493,33 @@ def powers(x: CycNum, upto: int) -> tuple[CycNum, ...]:
     for _ in range(upto):
         out.append(out[-1] * x)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Reduction modulo a prime
+# ---------------------------------------------------------------------------
+
+
+def mod_p_image(level: int, p: int) -> Callable[[CycNum], int]:
+    """The reduction of Q(zeta_{2l}) into GF(p) for a prime p = 1 mod 2l.
+
+    It sends zeta to a fixed primitive 2l-th root of unity mod p, so it is a
+    ring homomorphism on the numbers whose denominator is prime to p; the
+    returned map raises ``ArithmeticError`` when a denominator vanishes.
+    """
+    degree = cyclotomic_field(level).degree
+    z = root_of_unity(p, 2 * level)
+    zpows = [pow(z, k, p) for k in range(degree)]
+
+    def image(c: CycNum) -> int:
+        if c.field.level != level:
+            raise ValueError("mixed cyclotomic levels")
+        if c.den % p == 0:
+            raise ArithmeticError("denominator vanishes mod p")
+        total = sum(v * zk for v, zk in zip(c.num, zpows) if v)
+        return total * pow(c.den, -1, p) % p
+
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -630,44 +631,6 @@ def packed_products(
                 key, l = hit
                 acc[key] = acc.get(key, 0) + xrow[l] * y
     return {key: pack.unpack(total) for key, total in acc.items()}
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod_q(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _poly_trim(list(b))
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv
-        q[k] = c
-        if c:
-            for j in range(len(b)):
-                a[k + j] -= c * b[j]
-    return q, _poly_trim(a)
-
-
-def _poly_mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

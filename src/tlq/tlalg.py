@@ -15,10 +15,11 @@ Neither enumerates the diagram basis, so both work at any n.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
-sandwich at every size: ranks modulo a prime are exact lower bounds, and the
-exactly verified inclusion of the ideal in the radical of the trace
-(tr(E y) = 0 for every basis diagram y) turns the pair of lower bounds into a
-two-sided pin.
+sandwich at every size (the field is reduced mod p by
+:func:`tlq.exactnum.mod_p_image`): ranks modulo a prime are exact lower
+bounds, and the exactly verified inclusion of the ideal in the radical of
+the trace (tr(E y) = 0 for every basis diagram y) turns the pair of lower
+bounds into a two-sided pin.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .exactnum import (
     KroneckerPacking,
     LinComb,
     cyclotomic_field,
+    mod_p_image,
     packed_products,
     powers,
     quantum_int,
@@ -270,27 +272,6 @@ def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     return ExactMatrix(field, [[scaled[c] for c in row] for row in expo.tolist()])
 
 
-def _cyc_mod_p(c: CycNum, p: int, zeta_pows: list[int]) -> int:
-    total = 0
-    for k, v in enumerate(c.num):
-        if v:
-            total += v * zeta_pows[k]
-    if c.den % p == 0:
-        raise ArithmeticError("denominator vanishes mod p")
-    return total % p * pow(c.den, p - 2, p) % p
-
-
-def _field_mod_p(level: int, p: int) -> tuple[int, list[int]]:
-    """(delta mod p, powers of zeta mod p) for a prime p = 1 mod 2*level."""
-    z = _intlinalg.root_of_unity(p, 2 * level)
-    field = cyclotomic_field(level)
-    zpows = [pow(z, k, p) for k in range(field.degree)]
-    dmod = _cyc_mod_p(field.delta, p, zpows)
-    if dmod == 0:
-        raise ArithmeticError("delta vanishes mod p; retry another prime")
-    return dmod, zpows
-
-
 def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
     # The W_0(2n) cell form table is the trace exponent table up to a column
     # permutation, which keeps the rank.
@@ -350,7 +331,7 @@ def _generator_action_maps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _ideal_span_rank_modp(
-    level: int, n: int, p: int, zpows: list[int], target: int
+    level: int, n: int, p: int, image: Callable[[CycNum], int], target: int
 ) -> int:
     """Mod-p rank of the two-sided ideal <E>.
 
@@ -364,7 +345,7 @@ def _ideal_span_rank_modp(
     size = len(basis)
     index = {pairing: i for i, pairing in enumerate(basis)}
     ej = embedded_jones_wenzl(level, n)
-    dmod = _cyc_mod_p(cyclotomic_field(level).delta, p, zpows)
+    dmod = image(ej.field.delta)
     maps = [
         (tgt, np.array([pow(dmod, int(l), p) for l in loops], dtype=np.float64))
         for tgt, loops in _generator_action_maps(n)
@@ -375,7 +356,7 @@ def _ideal_span_rank_modp(
         raise ArithmeticError("fiber sums would leave the exact f64 range")
     seed = np.zeros((1, size))
     for d, c in ej.terms.items():
-        seed[0, index[d.pairing]] = _cyc_mod_p(c, p, zpows)
+        seed[0, index[d.pairing]] = image(c)
     ech = _intlinalg.ModpEchelon(size, p)
     frontier = ech.add_rows(seed)
     while frontier.size and ech.rank < target:
@@ -412,16 +393,17 @@ def radical_split(level: int, n: int) -> RadicalSplit:
         raise ValueError("the ideal needs n >= level - 1")
     size = catalan(n)
     _assert_trace_kills_ideal(level, n)
+    delta = cyclotomic_field(level).delta
     last = None
     for skip in range(3):
         p = next(_intlinalg.working_primes(order=2 * level, skip=skip))
-        try:
-            dmod, zpows = _field_mod_p(level, p)
-        except ArithmeticError:
+        image = mod_p_image(level, p)
+        dmod = image(delta)
+        if not dmod:  # delta vanishes mod p; retry another prime
             continue
         rho_g = _gram_rank_modp(level, n, p, dmod)
         target = size - rho_g
-        rho_j = _ideal_span_rank_modp(level, n, p, zpows, target)
+        rho_j = _ideal_span_rank_modp(level, n, p, image, target)
         if rho_j == target:
             return RadicalSplit(level, n, rho_g, target)
         last = (rho_g, rho_j)

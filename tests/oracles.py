@@ -6,6 +6,7 @@ data layouts) from the package code they cross-check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from tlq.cellrep import CellVector
@@ -230,3 +231,75 @@ def blade_product(self: BladeElement, other: BladeElement) -> BladeElement:
             mask, sign, contractions = _mul_basis(j, k)
             acc[mask] = acc.get(mask, 0) + sign * xrow[contractions] * yk
     return BladeElement(self.n, {m: pack.unpack(t) for m, t in acc.items()})
+
+
+# The inverse in Q(zeta) as CycNum.inverse computed it before the Galois norm:
+# the extended Euclidean algorithm in Q[x] modulo the cyclotomic polynomial.
+
+
+def euclid_inverse(self: CycNum) -> CycNum:
+    """Multiplicative inverse via the extended Euclidean algorithm in
+    Q[x] modulo the cyclotomic polynomial."""
+    if self.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    d = self.field.degree
+    den = Fraction(self.den)
+    a = [Fraction(v) / den for v in self.num]
+    m = [Fraction(c) for c in self.field.modulus]
+    # Extended gcd of a and m over Q[x]; m is irreducible so gcd is 1.
+    r0, r1 = list(m), list(a)
+    t0: list[Fraction] = [Fraction(0)]
+    t1: list[Fraction] = [Fraction(1)]
+    while True:
+        r1 = _poly_trim(r1)
+        if len(r1) == 1 and r1[0] == 0:
+            raise ZeroDivisionError("element is not invertible")
+        if len(r1) == 1:
+            const = r1[0]
+            inv = [c / const for c in t1]
+            break
+        q, r = _poly_divmod_q(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _poly_sub_q(t0, _poly_mul_q(q, t1))
+    inv = inv + [Fraction(0)] * (d - len(inv))
+    common = math.lcm(*(c.denominator for c in inv)) if inv else 1
+    vec = [int(c * common) for c in inv[:d]]
+    return CycNum._make(self.field, common, vec)
+
+
+def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_divmod_q(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    a = list(a)
+    b = _poly_trim(list(b))
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    inv = 1 / b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1] * inv
+        q[k] = c
+        if c:
+            for j in range(len(b)):
+                a[k + j] -= c * b[j]
+    return q, _poly_trim(a)
+
+
+def _poly_mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = a + [Fraction(0)] * (n - len(a))
+    b = b + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]

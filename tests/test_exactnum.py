@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_rank, laurent_evaluate, quantum_int_by_ratio
-from tlq import exactnum
+from oracles import euclid_inverse, fraction_rank, laurent_evaluate, quantum_int_by_ratio
+from tlq import _intlinalg, exactnum
 from tlq.exactnum import (
     CycNum,
     ExactMatrix,
@@ -23,6 +23,7 @@ from tlq.exactnum import (
     LaurentPolyZ,
     cyclotomic_field,
     cyclotomic_polynomial,
+    mod_p_image,
     quantum_factorial,
     quantum_int,
     rank_by_columns,
@@ -116,6 +117,24 @@ def test_laurent_divexact_roundtrip():
     assert (a * b).divexact(b) == a
     with pytest.raises(ArithmeticError):
         (quantum_int(2) + LaurentPolyZ.one()).divexact(quantum_int(3))
+
+
+def test_laurent_divexact_with_negative_exponents():
+    a = LaurentPolyZ({-3: 2, -1: -5, 4: 7})
+    b = LaurentPolyZ({-2: 3, 0: 1, 1: -1})
+    assert (a * b).divexact(b) == a
+    assert (a * b).divexact(a) == b
+    assert LaurentPolyZ({-7: 6}).divexact(LaurentPolyZ({-2: -3})) == LaurentPolyZ({-5: -2})
+    assert LaurentPolyZ().divexact(b) == LaurentPolyZ()
+    for num, den in (
+        (a * b + LaurentPolyZ({-5: 1}), b),  # a nonzero remainder
+        (LaurentPolyZ({-4: 3, -2: 1}), LaurentPolyZ({-1: 2})),  # 3/2 is not an integer
+        (LaurentPolyZ({-1: 1}), b),  # fewer terms than the divisor
+    ):
+        with pytest.raises(ArithmeticError):
+            num.divexact(den)
+    with pytest.raises(ZeroDivisionError):
+        a.divexact(LaurentPolyZ())
 
 
 @given(st.data())
@@ -269,7 +288,7 @@ def test_packing_checks_hold_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(Path(__file__).resolve()), "-k", "kronecker"],
+         str(Path(__file__).resolve()), "-k", "kronecker or inverse or norm"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout[-2000:]
@@ -301,3 +320,84 @@ def test_laurent_evaluate_matches_per_term_powers(level, monkeypatch):
             assert p.evaluate(x) == value
             # x is inverted at most once, and only when a negative power occurs.
             assert len(calls) == (1 if any(e < 0 for e in p.coeffs) else 0)
+
+
+# The Galois-norm inverse, the zeta-power table and the mod-p image.
+
+INVERSE_LEVELS = tuple(range(3, 13))
+
+
+def _random_cycnums(field, rng, count):
+    out = []
+    for _ in range(count):
+        bound = 2 ** rng.choice((1, 8, 64, 200))
+        num = [rng.randint(-bound, bound) for _ in range(field.degree)]
+        num[0] = num[0] or 1  # never zero
+        out.append(field.from_coeffs(rng.choice((1, 3, 35, 2**61 - 1)), num))
+    return out
+
+
+@pytest.mark.parametrize("level", INVERSE_LEVELS)
+def test_inverse_matches_the_euclid_oracle(level):
+    field = cyclotomic_field(level)
+    rng = random.Random(level)
+    special = [field.delta, field.q, field.q_inv, field.delta**5, field.from_int(-7)]
+    special += [field.from_zeta_power(k) for k in range(2 * level)]
+    for x in special + _random_cycnums(field, rng, 12):
+        inv = x.inverse()
+        assert inv == euclid_inverse(x)
+        assert x * inv == field.one
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
+@pytest.mark.parametrize("level", INVERSE_LEVELS)
+def test_from_zeta_power_matches_repeated_multiplication(level):
+    field = cyclotomic_field(level)
+    # zeta^k = zeta^(k + 4l) for k in [-4l, 4l), reached by multiplying by zeta.
+    power = field.one
+    expected = []
+    for _ in range(8 * level):
+        expected.append(power)
+        power = power * field.zeta
+    assert power == field.one
+    for k in range(-4 * level, 4 * level):
+        assert field.from_zeta_power(k) == expected[k + 4 * level], k
+        assert field.from_zeta_power(k) * field.from_zeta_power(-k) == field.one
+
+
+@pytest.mark.parametrize("level", (3, 4, 5, 8))
+def test_inverse_checks_the_norm_with_a_corrupted_zeta_table(level, monkeypatch):
+    field = cyclotomic_field(level)
+    xs = _random_cycnums(field, random.Random(-level), 5)
+    # One entry of the first conjugate's row is off by one, so sigma_k is no
+    # longer an automorphism and the product of conjugates is not the norm.
+    k = field._conjugates[0]
+    table = [list(row) for row in field._zeta_powers]
+    table[k][0] += 1
+    monkeypatch.setattr(field, "_zeta_powers", tuple(map(tuple, table)))
+    for x in xs:
+        with pytest.raises(ArithmeticError, match="norm"):
+            x.inverse()
+
+
+@pytest.mark.parametrize("level", (3, 4, 5, 6, 7, 8, 12))
+def test_mod_p_image_is_a_ring_homomorphism(level):
+    field = cyclotomic_field(level)
+    p = next(_intlinalg.working_primes(order=2 * level))
+    image = mod_p_image(level, p)
+    rng = random.Random(2 * level)
+    assert image(field.one) == 1 and image(field.zero) == 0
+    z = image(field.zeta)
+    assert pow(z, level, p) == p - 1  # zeta^l = -1
+    assert image(field.delta) == -(image(field.q) + image(field.q_inv)) % p
+    xs = _random_cycnums(field, rng, 8)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert image(x + y) == (image(x) + image(y)) % p
+        assert image(x * y) == image(x) * image(y) % p
+        assert image(x.inverse()) * image(x) % p == 1
+    vanishing = field.from_coeffs(p * 35, [1] + [0] * (field.degree - 1))
+    with pytest.raises(ArithmeticError, match="denominator"):
+        image(vanishing)
+    with pytest.raises(ValueError):
+        image(cyclotomic_field(level + 1).one)

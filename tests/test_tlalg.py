@@ -11,7 +11,7 @@ from oracles import markov_trace, tl_product
 from tlq import _intlinalg, diagram, tlalg
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
-from tlq.exactnum import cyclotomic_field
+from tlq.exactnum import cyclotomic_field, mod_p_image
 from tlq.tlalg import (
     TLElement,
     _ideal_dimension_exact,
@@ -234,10 +234,10 @@ def test_generator_map_fibers_hold_at_most_n_diagrams():
 
 def test_ideal_closure_checks_the_fiber_bound(monkeypatch):
     p = next(_intlinalg.working_primes(order=8))
-    _, zpows = tlalg._field_mod_p(4, p)
+    image = mod_p_image(4, p)
     monkeypatch.setattr(_intlinalg, "_F64_SAFE", 5 * (p - 1) ** 2)
     with pytest.raises(ArithmeticError, match="fiber"):
-        tlalg._ideal_span_rank_modp(4, 5, p, zpows, catalan(5))
+        tlalg._ideal_span_rank_modp(4, 5, p, image, catalan(5))
 
 
 def test_trace_gram_rank_pattern():
@@ -267,17 +267,17 @@ def _fresh_split(level: int, n: int):
         radical_split.cache_clear()
 
 
-def _unlucky_field(level, p):
-    raise ArithmeticError("injected: unlucky prime")
+def _unlucky_image(level, p):
+    return lambda c: 0
 
 
-def _unlucky_span(level, n, p, zpows, target):
+def _unlucky_span(level, n, p, image, target):
     return target - 1
 
 
-# An unlucky prime shows as one of these: delta or a denominator vanishes mod
-# p, or the mod-p ideal span falls short of the pin.
-FAULTS = {"_field_mod_p": _unlucky_field, "_ideal_span_rank_modp": _unlucky_span}
+# An unlucky prime shows as one of these: delta vanishes mod p, or the mod-p
+# ideal span falls short of the pin.
+FAULTS = {"mod_p_image": _unlucky_image, "_ideal_span_rank_modp": _unlucky_span}
 
 
 def _inject(monkeypatch, name: str, times: float) -> list:
