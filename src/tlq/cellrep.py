@@ -17,8 +17,8 @@ from typing import Mapping
 
 from .diagram import (
     Diagram,
-    _cell_gram_exponents,
     compose_pairings,
+    diagram_basis,
     enumerate_monic,
     identity_pairing,
     star_pairing,
@@ -106,7 +106,7 @@ def gram_matrix(t: int, n: int, level: int) -> ExactMatrix:
     field = cyclotomic_field(level)
     # Every closed loop uses one of the (n - t) / 2 top arcs of D_j.
     pw = powers(field.delta, (n - t) // 2)
-    expo = _cell_gram_exponents(t, n).tolist()
+    expo = diagram_basis(t, n).cell_exponents.tolist()
     return ExactMatrix(field, [[field.zero if e < 0 else pw[e] for e in row] for row in expo])
 
 
@@ -203,15 +203,14 @@ def annihilation_check(t: int, n: int, level: int) -> bool:
         raise ValueError("t is not admissible for n")
     if n < level - 1:
         raise ValueError("the idempotent needs n >= level - 1")
-    field = cyclotomic_field(level)
     ej = embedded_jones_wenzl(level, n)
-    basis = enumerate_monic(t, n)
+    index = diagram_basis(t, n).index
     gram = gram_matrix(t, n, level).rows
-    for d in basis:
+    for d in enumerate_monic(t, n):
         image = cell_action(ej, CellVector.from_diagram(d, level))
-        support = [(i, image.terms[b]) for i, b in enumerate(basis) if b in image.terms]
+        support = [(index[b.pairing], c) for b, c in image.terms.items()]
         # phi(E . D_i, D_j) is row j of the symmetric Gram matrix against the image.
         for row in gram:
-            if sum((c * row[i] for i, c in support if row[i]), field.zero):
+            if sum((c * row[i] for i, c in support if row[i]), ej.field.zero):
                 return False
     return True

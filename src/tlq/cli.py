@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -18,6 +19,7 @@ from typing import Any, Sequence
 
 from . import cellrep, tlalg, verify
 from .combinatorics import catalan, w_dim
+from .diagram import identity, tl_basis
 from .exactnum import CycNum, cyclotomic_field
 
 EXIT_OK = 0
@@ -189,8 +191,6 @@ def cmd_jw(args: argparse.Namespace) -> int:
     e = jw.element
     n = args.level - 1
     field = cyclotomic_field(args.level)
-    from .diagram import identity, tl_basis
-
     rows = []
     for d in tl_basis(n):
         c = e.coefficient(d)
@@ -218,11 +218,14 @@ def cmd_jw(args: argparse.Namespace) -> int:
 
 
 def cmd_gram_rank(args: argparse.Namespace) -> int:
-    n_range = _parse_n_range(args.n)
+    lo, hi = _parse_n_range(args.n)
+    ns = range(lo, hi + 1)
+    if args.kind == "cell" and args.t is not None and not any(args.t in cellrep.admissible_t(n) for n in ns):
+        raise ValueError(f"t = {args.t} is admissible for no n in {args.n}")
     rows = []
     all_agree = True
     computed = False
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if args.kind == "trace":
             if n > args.max_rank_n:
                 continue
@@ -322,26 +325,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}\n"
         )
         return EXIT_USAGE
-    kwargs: dict[str, Any] = {}
-    if args.suite == "catalan":
-        kwargs["order"] = args.K
-    if args.suite == "gram":
-        kwargs["level"] = args.level
-    # Without --max-n each suite keeps its own default.
+    # A flag goes to each suite whose signature takes it; without --max-n each
+    # suite keeps its own default.
+    params = inspect.signature(suite).parameters
+    flags = {"order": args.K, "level": args.level, "seed": args.seed}
     if args.max_n is not None:
-        if args.suite in ("ising", "fibonacci", "level6", "q3", "clifford", "classification", "gram"):
-            kwargs["max_n"] = args.max_n
-        if args.suite == "radical":
-            kwargs["max_n"] = min(args.max_n, 8)
-    if args.suite in ("properties", "clifford"):
-        kwargs["seed"] = args.seed
-    report = suite(**kwargs)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        flags["max_n"] = min(args.max_n, 8) if args.suite == "radical" else args.max_n
+    report = suite(**{k: v for k, v in flags.items() if k in params})
+    _emit(report, "json", args.out)
     return EXIT_OK if report["passed"] else EXIT_DISAGREE
 
 

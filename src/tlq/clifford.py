@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _intlinalg
-from .diagram import compose_pairings, generator_pairing, identity_pairing, tl_pairings
+from .diagram import diagram_basis, identity_pairing
 from .exactnum import (
     CycNum,
     CyclotomicField,
@@ -145,26 +145,24 @@ def phi_generator(n: int, j: int) -> BladeElement:
 
 
 @lru_cache(maxsize=None)
-def _phi_table(n: int) -> dict[tuple[int, ...], BladeElement]:
-    """phi on every diagram of TL_n, built by loop-free left multiplication
-    from the identity (prefixes of reduced words stay loop-free)."""
-    gens = [generator_pairing(n, i) for i in range(1, n)]
+def _phi_table(n: int) -> dict[int, BladeElement]:
+    """phi on every diagram of TL_n by basis position, built by loop-free left
+    multiplication from the identity (prefixes of reduced words stay loop-free)."""
+    basis = diagram_basis(0, 2 * n)
+    # f_i * D is the first map of each generator's (left, right) pair.
+    lefts = [(tgt.tolist(), loops.tolist()) for tgt, loops in basis.generator_maps[::2]]
     gen_images = [phi_generator(n, i) for i in range(1, n)]
-    table: dict[tuple[int, ...], BladeElement] = {
-        identity_pairing(n): BladeElement.one(n)
-    }
-    frontier = [identity_pairing(n)]
+    table = {basis.index[identity_pairing(n)]: BladeElement.one(n)}
+    frontier = list(table)
     while frontier:
         nxt = []
-        for pairing in frontier:
-            blade = table[pairing]
-            for gp, gimg in zip(gens, gen_images):
-                product, loops = compose_pairings(n, n, n, pairing, gp)
-                if loops == 0 and product not in table:
-                    table[product] = gimg * blade
-                    nxt.append(product)
+        for k in frontier:
+            for (tgt, loops), gimg in zip(lefts, gen_images):
+                if loops[k] == 0 and tgt[k] not in table:
+                    table[tgt[k]] = gimg * table[k]
+                    nxt.append(tgt[k])
         frontier = nxt
-    if len(table) != len(tl_pairings(n)):
+    if len(table) != len(basis.pairings):
         raise ArithmeticError("left-multiplication walk missed diagrams")
     return table
 
@@ -177,7 +175,8 @@ def phi(x: TLElement) -> BladeElement:
     out = BladeElement.zero(x.n)
     if not x.terms:
         return out
-    images = [_phi_table(x.n)[d.pairing].terms for d in x.terms]
+    table, index = _phi_table(x.n), diagram_basis(0, 2 * x.n).index
+    images = [table[index[d.pairing]].terms for d in x.terms]
     # A blade takes at most one product from each diagram of x.
     pack = KroneckerPacking(
         out.field, x.terms.values(), [c for img in images for c in img.values()], len(images)

@@ -8,15 +8,15 @@ clockwise onto the left of the top line is a pure re-indexing, so planarity
 of the diagram is exactly non-crossingness of the involution on the index
 line, and the flat (0, t+n)-form of a diagram *is* its pairing tuple.
 
-All functions here are pure and all values immutable.  The level independent
-cell form table of W_t(n) lives here: at t = 0 on 2n points it is also the
-trace form table of TL_n, up to the column permutation by star.
+All functions here are pure and all values immutable.  ``diagram_basis``
+is the one indexed basis of monic (t, n)-diagrams per (t, n), and the level
+independent tables (cell form, trace, generator actions) hang off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -64,9 +64,6 @@ class Diagram:
         object.__setattr__(d, "pairing", pairing)
         return d
 
-    def __lt__(self, other: "Diagram") -> bool:
-        return (self.src, self.dst, self.pairing) < (other.src, other.dst, other.pairing)
-
 
 def identity(n: int) -> Diagram:
     return Diagram(n, n, identity_pairing(n))
@@ -101,7 +98,6 @@ def through_strands(d: Diagram) -> int:
     return sum(1 for b in range(d.src) if d.pairing[b] >= d.src)
 
 
-@lru_cache(maxsize=None)
 def monic_pairings(t: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All pairings of monic diagrams t -> n, in lexicographic order."""
     if t > n or (t + n) % 2 or t < 0:
@@ -140,12 +136,12 @@ def enumerate_monic(t: int, n: int) -> tuple[Diagram, ...]:
 
     Empty when the parity fails or t > n.
     """
-    return tuple(Diagram(t, n, p) for p in monic_pairings(t, n))
+    return tuple(Diagram(t, n, p) for p in diagram_basis(t, n).pairings)
 
 
 def tl_pairings(n: int) -> tuple[tuple[int, ...], ...]:
     """The diagram basis of TL_n as pairings, lexicographically ordered."""
-    return monic_pairings(0, 2 * n)
+    return diagram_basis(0, 2 * n).pairings
 
 
 def tl_basis(n: int) -> tuple[Diagram, ...]:
@@ -274,26 +270,80 @@ def closure_loops(n: int, pairing: tuple[int, ...]) -> int:
     return loops
 
 
-@lru_cache(maxsize=None)
-def _cell_gram_exponents(t: int, n: int) -> np.ndarray:
-    """exponents[i, j] = k when the cell form pairs the monic (t, n)-diagrams
-    D_i and D_j to delta^k, or -1 when the pairing vanishes; symmetric, level
-    independent.  At t = 0 and 2n points it is the meander matrix, the trace
-    form of TL_n up to a column permutation."""
-    basis = monic_pairings(t, n)
-    size = len(basis)
-    ident = identity_pairing(t)
-    out = np.full((size, size), -1, dtype=np.int16)
-    stars = [star_pairing(t + n, p) for p in basis]
-    for i in range(size):
-        si = stars[i]
-        for j in range(i, size):
-            pairing, loops = compose_pairings(t, n, t, basis[j], si)
-            if pairing == ident:
-                out[i, j] = loops
-                out[j, i] = loops
-    out.setflags(write=False)
-    return out
+# ---------------------------------------------------------------------------
+# The indexed basis and its level-independent tables
+# ---------------------------------------------------------------------------
+
+
+class DiagramBasis:
+    """The monic (t, n)-diagrams in lexicographic order, a pairing -> position
+    index, and the level-independent tables on them, built on first use.  The
+    basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
+    only it has the star permutation, the trace table and the generator maps.
+    """
+
+    def __init__(self, t: int, n: int):
+        self.t, self.n = t, n
+        self.pairings = monic_pairings(t, n)
+        self.index = {pairing: i for i, pairing in enumerate(self.pairings)}
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        """Position of the star (mirror image) of each diagram; an involution."""
+        out = np.array([self.index[star_pairing(self.n, p)] for p in self.pairings], dtype=np.intp)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def cell_exponents(self) -> np.ndarray:
+        """exponents[i, j] = k when the cell form pairs D_i and D_j to
+        delta^k, or -1 when the pairing vanishes; symmetric.  At t = 0 it is
+        the meander matrix."""
+        t, n, basis = self.t, self.n, self.pairings
+        size = len(basis)
+        ident = identity_pairing(t)
+        out = np.full((size, size), -1, dtype=np.int16)
+        stars = [star_pairing(t + n, p) for p in basis]
+        for i in range(size):
+            si = stars[i]
+            for j in range(i, size):
+                pairing, loops = compose_pairings(t, n, t, basis[j], si)
+                if pairing == ident:
+                    out[i, j] = loops
+                    out[j, i] = loops
+        out.setflags(write=False)
+        return out
+
+    @property
+    def trace_exponents(self) -> np.ndarray:
+        """tr(D_i D_j) = delta^(exponents[i, j] - n) in TL_n: the meander matrix,
+        its columns permuted by star, as a fresh copy (only the meander is kept)."""
+        return self.cell_exponents[:, self.star]
+
+    @cached_property
+    def generator_maps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Left and right multiplication by each generator f_i of TL_n as
+        weighted functional graphs on the basis: pairs (target position, loop
+        count) per source, in the order f_1 left, f_1 right, f_2 left, ..."""
+        m = self.n // 2
+        maps = []
+        for i in range(1, m):
+            gp = generator_pairing(m, i)
+            for left in (True, False):
+                tgt = np.empty(len(self.pairings), dtype=np.intp)
+                loops = np.empty(len(self.pairings), dtype=np.int64)
+                for k, p in enumerate(self.pairings):
+                    # f_i * D stacks f_i on top of D; D * f_i stacks D on f_i.
+                    res, loops[k] = compose_pairings(m, m, m, *((p, gp) if left else (gp, p)))
+                    tgt[k] = self.index[res]
+                tgt.setflags(write=False)
+                loops.setflags(write=False)
+                maps.append((tgt, loops))
+        return tuple(maps)
+
+
+# The one instance per (t, n); empty when the parity fails or t > n.
+diagram_basis = lru_cache(maxsize=None)(DiagramBasis)
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,6 @@ class LaurentPolyZ:
     def one(cls) -> LaurentPolyZ:
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPolyZ:
-        return cls({exponent: coefficient})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -19,7 +19,8 @@ sandwich at every size (the field is reduced mod p by
 :func:`tlq.exactnum.mod_p_image`): ranks modulo a prime are exact lower
 bounds, and the exactly verified inclusion of the ideal in the radical of
 the trace (tr(E y) = 0 for every basis diagram y) turns the pair of lower
-bounds into a two-sided pin.
+bounds into a two-sided pin.  All three read the one indexed basis
+``diagram_basis(0, 2n)``: its trace table and its generator action maps.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from . import _intlinalg
 from .combinatorics import catalan
 from .diagram import (
     Diagram,
-    _cell_gram_exponents,
     closure_loops,
     compose_pairings,
+    diagram_basis,
     embed_pairing,
     generator_diagram,
     hook_poly,
@@ -45,10 +46,8 @@ from .diagram import (
     nesting_forest,
     rotate_to_flat,
     star,
-    star_pairing,
     tl_basis,
     through_strands,
-    tl_pairings,
 )
 from .exactnum import (
     CycNum,
@@ -259,23 +258,18 @@ def jones_wenzl_by_recursion(level: int) -> TLElement:
 
 def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     """Gram matrix G[D, D'] = tr(D D') of the Jones trace over the diagram
-    basis of TL_n.  Exact; intended for moderate n.  tr(D_i D_j) is delta^-n
-    times the cell form of the flat diagrams D_i and star(D_j) in W_0(2n)."""
+    basis of TL_n, read off its trace table.  Exact; for moderate n."""
     field = cyclotomic_field(level)
-    basis = tl_pairings(n)
-    index = {pairing: i for i, pairing in enumerate(basis)}
-    stars = [index[star_pairing(2 * n, pairing)] for pairing in basis]
     # A closed picture on 2n points has at most n loops.
     dinv_n = _delta_inverse_power(field, n)
     scaled = [p * dinv_n for p in powers(field.delta, n)]
-    expo = _cell_gram_exponents(0, 2 * n)[:, stars]
+    expo = diagram_basis(0, 2 * n).trace_exponents
     return ExactMatrix(field, [[scaled[c] for c in row] for row in expo.tolist()])
 
 
 def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
-    # The W_0(2n) cell form table is the trace exponent table up to a column
-    # permutation, which keeps the rank.
-    expo = _cell_gram_exponents(0, 2 * n)
+    # The meander matrix has the rank of the trace table and eliminates faster.
+    expo = diagram_basis(0, 2 * n).cell_exponents
     table = np.array([pow(dmod, c, p) for c in range(int(expo.max()) + 1)], dtype=np.float64)
     ech = _intlinalg.ModpEchelon(expo.shape[1], p)
     ech.add_rows(table[expo])
@@ -285,49 +279,19 @@ def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
 def _assert_trace_kills_ideal(level: int, n: int):
     """Exact check that tr(E y) = 0 for every diagram y of TL_n; by trace
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
-    field = cyclotomic_field(level)
     ej = embedded_jones_wenzl(level, n)
-    eterms = [d.pairing for d in ej.terms]
-    # The closure of y E has at most n loops (each passes through two of its
-    # 2n points); the E coefficients are packed against delta^0..delta^n once.
-    pack = KroneckerPacking(field, ej.terms.values(), powers(field.delta, n), len(eterms))
-    for y in tl_pairings(n):
-        total = 0
-        for pe, xe in zip(eterms, pack.x):
-            pairing, loops = compose_pairings(n, n, n, y, pe)
-            total += xe * pack.y[loops + closure_loops(n, pairing)]
-        # tr(E y) is this sum times delta^(-n), so it vanishes with the sum.
-        if pack.unpack(total):
+    field, basis = ej.field, diagram_basis(0, 2 * n)
+    cols = [basis.index[d.pairing] for d in ej.terms]
+    # tr(E y) = delta^(-n) sum_e c_e delta^T[y, e] for the symmetric trace
+    # table T, whose entries are at most n.  Each E coefficient is packed
+    # against delta^0..delta^n once, so a row of T picks one product per term.
+    pack = KroneckerPacking(field, ej.terms.values(), powers(field.delta, n), len(cols))
+    products = [[xe * yc for yc in pack.y] for xe in pack.x]
+    for row in basis.trace_exponents[:, cols].tolist():
+        if pack.unpack(sum(pe[c] for pe, c in zip(products, row))):
             raise ArithmeticError(
                 f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
             )
-
-
-@lru_cache(maxsize=None)
-def _generator_action_maps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Left and right multiplication by each generator as weighted functional
-    graphs on the diagram basis: pairs (target index, loop count) per source.
-    """
-    basis = tl_pairings(n)
-    size = len(basis)
-    index = {pairing: i for i, pairing in enumerate(basis)}
-    maps = []
-    for i in range(1, n):
-        gp = generator_diagram(n, i).pairing
-        for side in ("left", "right"):
-            tgt = np.empty(size, dtype=np.intp)
-            loops = np.empty(size, dtype=np.int64)
-            for k, pairing in enumerate(basis):
-                if side == "left":  # f_i * D
-                    res, l = compose_pairings(n, n, n, pairing, gp)
-                else:  # D * f_i
-                    res, l = compose_pairings(n, n, n, gp, pairing)
-                tgt[k] = index[res]
-                loops[k] = l
-            tgt.setflags(write=False)
-            loops.setflags(write=False)
-            maps.append((tgt, loops))
-    return tuple(maps)
 
 
 def _ideal_span_rank_modp(
@@ -341,14 +305,13 @@ def _ideal_span_rank_modp(
     image of <E>.  Deterministic and complete; the result is always an exact
     lower bound for dim <E>, and generically equals it.
     """
-    basis = tl_pairings(n)
-    size = len(basis)
-    index = {pairing: i for i, pairing in enumerate(basis)}
+    basis = diagram_basis(0, 2 * n)
+    size = len(basis.pairings)
     ej = embedded_jones_wenzl(level, n)
     dmod = image(ej.field.delta)
     maps = [
         (tgt, np.array([pow(dmod, int(l), p) for l in loops], dtype=np.float64))
-        for tgt, loops in _generator_action_maps(n)
+        for tgt, loops in basis.generator_maps
     ]
     # np.add.at sums one fiber of a map, each term below (p-1)^2.
     fiber = max(int(np.bincount(tgt).max()) for tgt, _ in maps)
@@ -356,7 +319,7 @@ def _ideal_span_rank_modp(
         raise ArithmeticError("fiber sums would leave the exact f64 range")
     seed = np.zeros((1, size))
     for d, c in ej.terms.items():
-        seed[0, index[d.pairing]] = image(c)
+        seed[0, basis.index[d.pairing]] = image(c)
     ech = _intlinalg.ModpEchelon(size, p)
     frontier = ech.add_rows(seed)
     while frontier.size and ech.rank < target:

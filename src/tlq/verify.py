@@ -123,7 +123,7 @@ def catalan_suite(order: int = 12, max_points: int = 16) -> dict[str, Any]:
     for total in range(0, max_points + 1, 2):
         for t in range(total % 2, total + 1, 2):
             k = (total - t) // 2
-            counted = len(diagram.monic_pairings(t, total))
+            counted = len(diagram.diagram_basis(t, total).pairings)
             if not (counted == combinatorics.w_recursive(t, k) == combinatorics.F_closed(t, k)):
                 ok = False
                 bad = f"(t={t}, k={k})"
@@ -474,7 +474,7 @@ def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
 
     def random_diagram(src: int, dst: int) -> diagram.Diagram:
         # Any planar (src, dst)-diagram is a flat pairing re-read at the cut.
-        options = diagram.monic_pairings(0, src + dst)
+        options = diagram.diagram_basis(0, src + dst).pairings
         return diagram.Diagram(src, dst, options[rng.randrange(len(options))])
 
     ok = True

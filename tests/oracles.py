@@ -9,10 +9,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from tlq import tlalg
 from tlq.cellrep import CellVector
 from tlq.clifford import BladeElement, _field
-from tlq.diagram import Diagram, closure_loops, compose_pairings, identity_pairing, star_pairing
-from tlq.exactnum import CycNum, KroneckerPacking, LaurentPolyZ, cyclotomic_field
+from tlq.diagram import (
+    Diagram,
+    closure_loops,
+    compose_pairings,
+    generator_diagram,
+    identity_pairing,
+    monic_pairings,
+    star_pairing,
+    tl_pairings,
+)
+from tlq.exactnum import CycNum, KroneckerPacking, LaurentPolyZ, cyclotomic_field, powers
 from tlq.tlalg import TLElement
 
 
@@ -303,3 +315,87 @@ def _poly_sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = a + [Fraction(0)] * (n - len(a))
     b = b + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+# The level-independent tables and the kill check as each consumer built them
+# with its own index and its own per-pair loop, before the indexed basis.
+
+
+def cell_gram_exponents(t: int, n: int) -> np.ndarray:
+    """exponents[i, j] = k when the cell form pairs the monic (t, n)-diagrams
+    D_i and D_j to delta^k, or -1 when the pairing vanishes; symmetric, level
+    independent.  At t = 0 and 2n points it is the meander matrix, the trace
+    form of TL_n up to a column permutation."""
+    basis = monic_pairings(t, n)
+    size = len(basis)
+    ident = identity_pairing(t)
+    out = np.full((size, size), -1, dtype=np.int16)
+    stars = [star_pairing(t + n, p) for p in basis]
+    for i in range(size):
+        si = stars[i]
+        for j in range(i, size):
+            pairing, loops = compose_pairings(t, n, t, basis[j], si)
+            if pairing == ident:
+                out[i, j] = loops
+                out[j, i] = loops
+    out.setflags(write=False)
+    return out
+
+
+def generator_action_maps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Left and right multiplication by each generator as weighted functional
+    graphs on the diagram basis: pairs (target index, loop count) per source.
+    """
+    basis = tl_pairings(n)
+    size = len(basis)
+    index = {pairing: i for i, pairing in enumerate(basis)}
+    maps = []
+    for i in range(1, n):
+        gp = generator_diagram(n, i).pairing
+        for side in ("left", "right"):
+            tgt = np.empty(size, dtype=np.intp)
+            loops = np.empty(size, dtype=np.int64)
+            for k, pairing in enumerate(basis):
+                if side == "left":  # f_i * D
+                    res, l = compose_pairings(n, n, n, pairing, gp)
+                else:  # D * f_i
+                    res, l = compose_pairings(n, n, n, gp, pairing)
+                tgt[k] = index[res]
+                loops[k] = l
+            tgt.setflags(write=False)
+            loops.setflags(write=False)
+            maps.append((tgt, loops))
+    return tuple(maps)
+
+
+def trace_exponents(n: int) -> np.ndarray:
+    """exponents[y, e] = c with tr(D_e D_y) = delta^(c - n), one composition
+    and one closure per pair, as in the kill check below."""
+    basis = tl_pairings(n)
+    out = np.empty((len(basis), len(basis)), dtype=np.int16)
+    for i, y in enumerate(basis):
+        for j, pe in enumerate(basis):
+            pairing, loops = compose_pairings(n, n, n, y, pe)
+            out[i, j] = loops + closure_loops(n, pairing)
+    return out
+
+
+def assert_trace_kills_ideal(level: int, n: int):
+    """Exact check that tr(E y) = 0 for every diagram y of TL_n; by trace
+    cyclicity this puts the whole ideal <E> inside the radical of tr."""
+    field = cyclotomic_field(level)
+    ej = tlalg.embedded_jones_wenzl(level, n)
+    eterms = [d.pairing for d in ej.terms]
+    # The closure of y E has at most n loops (each passes through two of its
+    # 2n points); the E coefficients are packed against delta^0..delta^n once.
+    pack = KroneckerPacking(field, ej.terms.values(), powers(field.delta, n), len(eterms))
+    for y in tl_pairings(n):
+        total = 0
+        for pe, xe in zip(eterms, pack.x):
+            pairing, loops = compose_pairings(n, n, n, y, pe)
+            total += xe * pack.y[loops + closure_loops(n, pairing)]
+        # tr(E y) is this sum times delta^(-n), so it vanishes with the sum.
+        if pack.unpack(total):
+            raise ArithmeticError(
+                f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
+            )

@@ -1,0 +1,78 @@
+"""The indexed diagram basis: its index, star permutation and tables against
+the per-pair loops that each consumer ran before it."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import oracles
+from tlq import clifford, diagram, tlalg
+from tlq.cellrep import admissible_t
+from tlq.diagram import diagram_basis, star_pairing, tl_pairings
+
+CELLS = [(t, n) for n in range(11) for t in admissible_t(n)]
+TL_N = range(1, 7)
+
+
+@pytest.mark.parametrize("t, n", CELLS)
+def test_index_and_cell_table_match_the_per_pair_loop(t, n):
+    basis = diagram_basis(t, n)
+    assert len(basis.index) == len(basis.pairings) > 0
+    assert all(basis.pairings[basis.index[p]] == p for p in basis.pairings)
+    np.testing.assert_array_equal(basis.cell_exponents, oracles.cell_gram_exponents(t, n))
+
+
+@pytest.mark.parametrize("n", TL_N)
+def test_tl_tables_match_the_per_pair_loops(n):
+    basis = diagram_basis(0, 2 * n)
+    assert basis.pairings == tl_pairings(n)
+    star = basis.star
+    assert all(basis.pairings[s] == star_pairing(2 * n, p) for p, s in zip(basis.pairings, star))
+    assert (star[star] == np.arange(len(star))).all()
+    np.testing.assert_array_equal(basis.cell_exponents, oracles.cell_gram_exponents(0, 2 * n))
+    np.testing.assert_array_equal(basis.trace_exponents, oracles.trace_exponents(n))
+    reference = oracles.generator_action_maps(n)
+    assert len(basis.generator_maps) == len(reference) == 2 * (n - 1)
+    for (tgt, loops), (ref_tgt, ref_loops) in zip(basis.generator_maps, reference):
+        np.testing.assert_array_equal(tgt, ref_tgt)
+        np.testing.assert_array_equal(loops, ref_loops)
+
+
+def test_tables_are_read_only():
+    basis = diagram_basis(0, 8)
+    tables = [basis.star, basis.cell_exponents]
+    tables += [a for pair in basis.generator_maps for a in pair]
+    assert not any(a.flags.writeable for a in tables)
+
+
+@pytest.mark.parametrize("level, n", [(3, 2), (3, 3), (4, 3), (4, 5), (5, 6), (6, 6)])
+def test_kill_check_matches_the_compose_based_check(monkeypatch, level, n):
+    tlalg._assert_trace_kills_ideal(level, n)
+    oracles.assert_trace_kills_ideal(level, n)
+    # tr((E + f_1) 1) = tr(f_1) = 1/delta, so both checks must refuse E + f_1.
+    real = tlalg.embedded_jones_wenzl
+    monkeypatch.setattr(
+        tlalg, "embedded_jones_wenzl", lambda l, m: real(l, m) + tlalg.generator(m, 1, l)
+    )
+    for check in (tlalg._assert_trace_kills_ideal, oracles.assert_trace_kills_ideal):
+        with pytest.raises(ArithmeticError, match="radical theorem"):
+            check(level, n)
+
+
+def test_kill_check_and_phi_walk_read_tables_without_composing(monkeypatch):
+    n = 5
+    basis = diagram_basis(0, 2 * n)
+    # The tables are built (by composing) before the patch; reading them is not.
+    basis.trace_exponents, basis.generator_maps
+    expected = clifford._phi_table(n)
+
+    def refuse(*args):
+        raise AssertionError("a diagram pair was composed")
+
+    for module in (diagram, tlalg, clifford):
+        for name in ("compose_pairings", "closure_loops"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    tlalg._assert_trace_kills_ideal(4, n)
+    assert clifford._phi_table.__wrapped__(n) == expected

@@ -132,6 +132,27 @@ def test_verify_default_max_n(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, max_n",
+    [(("fibonacci", "--max-n", "5"), 5), (("clifford", "--max-n", "4", "--seed", "3"), 4)],
+)
+def test_verify_passes_max_n_to_suites_that_take_it(capsys, argv, max_n):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert max(int(name[2:].split(":")[0]) for name in names if name.startswith("n=")) == max_n
+
+
+def test_gram_rank_t_admissible_for_no_n_is_a_usage_error(capsys):
+    assert cli.main(["gram-rank", "--level", "5", "--n", "4", "--t", "3"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "admissible" in captured.err
+    # Admissible for n = 5 only: computed, not refused.
+    code, out = run(capsys, "gram-rank", "--level", "5", "--n", "4..5", "--t", "3")
+    assert code == 0
+    assert [(r["n"], r["t"]) for r in json.loads(out)["rows"]] == [(5, 3)]
+
+
 def test_run_config_invariants():
     import pytest
 

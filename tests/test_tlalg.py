@@ -228,7 +228,8 @@ def test_generator_map_fibers_hold_at_most_n_diagrams():
     # The ideal closure sums one fiber of a generator map with np.add.at, and
     # its float64 bound n * (p-1)^2 < 2**53 rests on this count.
     for n in range(2, 8):
-        fibers = [int(np.bincount(tgt).max()) for tgt, _ in tlalg._generator_action_maps(n)]
+        maps = diagram.diagram_basis(0, 2 * n).generator_maps
+        fibers = [int(np.bincount(tgt).max()) for tgt, _ in maps]
         assert max(fibers) == n
 
 
