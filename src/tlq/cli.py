@@ -14,12 +14,11 @@ import inspect
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from . import cellrep, tlalg, verify
 from .combinatorics import catalan, w_dim
-from .diagram import identity, tl_basis
+from .diagram import tl_basis
 from .exactnum import CycNum, cyclotomic_field
 
 EXIT_OK = 0
@@ -28,48 +27,6 @@ EXIT_RESOURCE = 3
 EXIT_USAGE = 4
 
 _ROUTES = ("rank", "altsum", "matrix", "closed")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated dimension-run configuration."""
-
-    level: int
-    n_range: tuple[int, int]
-    routes: tuple[str, ...] = _ROUTES
-    fmt: str = "json"
-    out: str | None = None
-    max_rank_n: int = 12
-
-    def __post_init__(self):
-        if self.level < 3:
-            raise ValueError("level must be at least 3")
-        if self.n_range[0] > self.n_range[1]:
-            raise ValueError("empty n range")
-        if not self.routes:
-            raise ValueError("at least one route must be selected")
-        for r in self.routes:
-            if r not in _ROUTES:
-                raise ValueError(f"unknown route {r!r}")
-
-
-@dataclass
-class ResultTable:
-    """Per-(n, t) dimension records with route-agreement flags."""
-
-    meta: dict[str, Any]
-    rows: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def all_agree(self) -> bool:
-        return all(r["agree"] for r in self.rows)
-
-    @property
-    def any_rank_value(self) -> bool:
-        return any(r.get("l_rank") is not None for r in self.rows)
-
-    def payload(self) -> dict[str, Any]:
-        return {"meta": self.meta, "rows": self.rows}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,28 +65,26 @@ def _meta(level: int) -> dict[str, Any]:
 
 
 def _emit(payload: dict[str, Any], fmt: str, out: str | None) -> None:
+    rows = payload.get("rows", [])
+    # Rows may differ in their keys: the columns are their union, first seen first.
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        rows = payload.get("rows", [])
         buf = io.StringIO()
         if rows:
-            keys = list(rows[0].keys())
             writer = csv.DictWriter(buf, fieldnames=keys)
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
         text = buf.getvalue()
     elif fmt == "markdown":
-        rows = payload.get("rows", [])
         if not rows:
             text = "(no rows)\n"
         else:
-            keys = list(rows[0].keys())
             lines = ["| " + " | ".join(keys) + " |"]
             lines.append("|" + "|".join(" --- " for _ in keys) + "|")
             for row in rows:
-                lines.append("| " + " | ".join(str(row[k]) for k in keys) + " |")
+                lines.append("| " + " | ".join(str(row.get(k, "")) for k in keys) + " |")
             text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -140,44 +95,37 @@ def _emit(payload: dict[str, Any], fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def compute_dims(config: RunConfig) -> ResultTable:
-    """The dimension table for a validated configuration."""
-    table = ResultTable(meta=_meta(config.level))
-    for n in range(config.n_range[0], config.n_range[1] + 1):
-        dims = verify.simple_dims_by_routes(config.level, n, config.routes, config.max_rank_n)
-        dimq = verify.dim_q_by_routes(config.level, n, config.routes, config.max_rank_n)
-        dim_agree = verify._all_agree(dimq)
-        for t in sorted(dims):
-            entry = dims[t]
-            values = {k: v for k, v in entry.items() if k in ("rank", "altsum", "matrix")}
-            agree = verify._all_agree(values) and dim_agree
-            if entry.get("closed") is not None:
-                agree = agree and verify._all_agree({**values, "closed": entry["closed"]})
-            row: dict[str, Any] = {"n": n, "t": t, "w": w_dim(t, n)}
-            for route in ("rank", "altsum", "matrix"):
-                if route in config.routes:
-                    row[f"l_{route}"] = entry.get(route)
-            for route in config.routes:
-                row[f"dimQ_{route}"] = dimq.get(route)
-            row["agree"] = agree
-            table.rows.append(row)
-    return table
+def _emit_table(args: argparse.Namespace, rows: list[dict[str, Any]], computed: bool) -> int:
+    """Emit a table of rows with an ``agree`` flag and return the exit code."""
+    _emit({"meta": _meta(args.level), "rows": rows}, args.format, args.out)
+    if not computed:
+        return EXIT_RESOURCE
+    return EXIT_OK if all(row["agree"] for row in rows) else EXIT_DISAGREE
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        level=args.level,
-        n_range=_parse_n_range(args.n),
-        routes=tuple(r.strip() for r in args.routes.split(",")),
-        fmt=args.format,
-        out=args.out,
-        max_rank_n=args.max_rank_n,
-    )
-    table = compute_dims(config)
-    _emit(table.payload(), config.fmt, config.out)
-    if not table.any_rank_value and config.routes == ("rank",):
-        return EXIT_RESOURCE
-    return EXIT_OK if table.all_agree else EXIT_DISAGREE
+    lo, hi = _parse_n_range(args.n)
+    if args.level < 3:
+        raise ValueError("level must be at least 3")
+    routes = tuple(r.strip() for r in args.routes.split(","))
+    for r in routes:
+        if r not in _ROUTES:
+            raise ValueError(f"unknown route {r!r}")
+    rows = []
+    for n in range(lo, hi + 1):
+        dims, dimq = verify.routes_at(args.level, n, routes, args.max_rank_n)
+        for t in cellrep.quotient_labels(args.level, n):
+            at_t = {route: table[t] for route, table in dims.items() if table is not None}
+            row: dict[str, Any] = {"n": n, "t": t, "w": w_dim(t, n)}
+            for route in ("rank", "altsum", "matrix"):
+                if route in routes:
+                    row[f"l_{route}"] = at_t.get(route)
+            for route in routes:
+                row[f"dimQ_{route}"] = dimq[route]
+            row["agree"] = verify.agree(at_t) and verify.agree(dimq)
+            rows.append(row)
+    computed = routes != ("rank",) or any(row["l_rank"] is not None for row in rows)
+    return _emit_table(args, rows, computed)
 
 
 def cmd_jw(args: argparse.Namespace) -> int:
@@ -187,10 +135,8 @@ def cmd_jw(args: argparse.Namespace) -> int:
             f"cap is {args.max_terms}\n"
         )
         return EXIT_RESOURCE
-    jw = tlalg.jones_wenzl(args.level)
-    e = jw.element
+    e = tlalg.jones_wenzl(args.level).element
     n = args.level - 1
-    field = cyclotomic_field(args.level)
     rows = []
     for d in tl_basis(n):
         c = e.coefficient(d)
@@ -202,16 +148,7 @@ def cmd_jw(args: argparse.Namespace) -> int:
                 "approx_im": round(c.approx().imag, 12),
             }
         )
-    checks = {
-        "idempotent": e * e == e,
-        "killed_by_generators": all(
-            (tlalg.generator(n, i, args.level) * e).is_zero()
-            and (e * tlalg.generator(n, i, args.level)).is_zero()
-            for i in range(1, n)
-        ),
-        "identity_coefficient_one": e.coefficient(identity(n)) == field.one,
-        "trace_zero": tlalg.jones_trace(e).is_zero(),
-    }
+    checks = verify.jw_checks(args.level)
     payload = {"meta": _meta(args.level), "rows": rows, "checks": checks}
     _emit(payload, args.format, args.out)
     return EXIT_OK if all(checks.values()) else EXIT_DISAGREE
@@ -223,75 +160,44 @@ def cmd_gram_rank(args: argparse.Namespace) -> int:
     if args.kind == "cell" and args.t is not None and not any(args.t in cellrep.admissible_t(n) for n in ns):
         raise ValueError(f"t = {args.t} is admissible for no n in {args.n}")
     rows = []
-    all_agree = True
-    computed = False
     for n in ns:
-        if args.kind == "trace":
-            if n > args.max_rank_n:
-                continue
-            computed = True
-            rank = tlalg.trace_gram_rank(args.level, n)
-            row = {"n": n, "dim": catalan(n), "rank": rank}
-            if n >= args.level - 1:
-                ideal = tlalg.ideal_dimension(args.level, n)
-                row["ideal_dim"] = ideal
-                row["agree"] = rank == catalan(n) - ideal
-            else:
-                row["agree"] = rank == catalan(n)
-            all_agree = all_agree and row["agree"]
-            rows.append(row)
-        else:
-            labels = (
-                [args.t]
-                if args.t is not None
-                else [t for t in cellrep.admissible_t(n)]
+        if n > args.max_rank_n:
+            continue
+        if args.kind == "cell":
+            rows.extend(
+                verify.cell_rank_row(t, n, args.level)
+                for t in cellrep.admissible_t(n)
+                if args.t in (None, t)
             )
-            for t in labels:
-                if t not in cellrep.admissible_t(n) or n > args.max_rank_n:
-                    continue
-                computed = True
-                rank = cellrep.simple_dim_rank(t, n, args.level)
-                row = {"n": n, "t": t, "w": w_dim(t, n), "rank": rank}
-                if t % args.level != args.level - 1:
-                    alt = cellrep.simple_dim_altsum(t, n, args.level)
-                    row["altsum"] = alt
-                    row["agree"] = rank == alt
-                else:
-                    row["agree"] = rank == w_dim(t, n)
-                all_agree = all_agree and row["agree"]
-                rows.append(row)
-    payload = {"meta": _meta(args.level), "rows": rows}
-    _emit(payload, args.format, args.out)
-    if not computed:
-        return EXIT_RESOURCE
-    return EXIT_OK if all_agree else EXIT_DISAGREE
+            continue
+        rank = tlalg.trace_gram_rank(args.level, n)
+        row = {"n": n, "dim": catalan(n), "rank": rank}
+        if n >= args.level - 1:
+            ideal = tlalg.ideal_dimension(args.level, n)
+            row["ideal_dim"] = ideal
+            row["agree"] = rank == catalan(n) - ideal
+        else:
+            row["agree"] = rank == catalan(n)
+        rows.append(row)
+    return _emit_table(args, rows, computed=bool(rows))
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    n_range = _parse_n_range(args.n)
+    lo, hi = _parse_n_range(args.n)
     rows = []
-    all_agree = True
-    computed = False
-    for n in range(n_range[0], n_range[1] + 1):
-        values = verify.dim_q_by_routes(
+    for n in range(lo, hi + 1):
+        _, dimq = verify.routes_at(
             args.level,
             n,
             ("altsum", "matrix", "closed", "ideal"),
             args.max_rank_n,
             max_ideal_n=args.max_rank_n,
         )
-        agree = verify._all_agree(values)
         row = {"n": n, "catalan": catalan(n)}
-        row.update({f"dimQ_{k}": v for k, v in values.items()})
-        row["agree"] = agree
+        row.update({f"dimQ_{route}": v for route, v in dimq.items()})
+        row["agree"] = verify.agree(dimq)
         rows.append(row)
-        all_agree = all_agree and agree
-        computed = computed or values.get("ideal") is not None
-    payload = {"meta": _meta(args.level), "rows": rows}
-    _emit(payload, args.format, args.out)
-    if not computed:
-        return EXIT_RESOURCE
-    return EXIT_OK if all_agree else EXIT_DISAGREE
+    return _emit_table(args, rows, computed=any(row["dimQ_ideal"] is not None for row in rows))
 
 
 def cmd_clifford_check(args: argparse.Namespace) -> int:

@@ -147,7 +147,6 @@ def dim_q(level: int, n: int, route: str = "matrix") -> int:
     "matrix": sum of squares of the matrix-route simple dimensions.
     "quadratic": the seed quadratic form w^T M^e w (independent exponent
     bookkeeping; must agree with "matrix").
-    "altsum": sum of squares of the alternating-sum simple dimensions.
     "closed": the closed forms for l = 3, 4, 5, 6.
     """
     if route == "matrix":
@@ -158,12 +157,6 @@ def dim_q(level: int, n: int, route: str = "matrix") -> int:
         e = 2 * _vector_exponent(level, n)
         m = _mat_pow(two_step(level)[parity], e)
         return sum(w[i] * m[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
-    if route == "altsum":
-        from .cellrep import quotient_labels, simple_dim_altsum
-
-        return sum(
-            simple_dim_altsum(t, n, level) ** 2 for t in quotient_labels(level, n)
-        )
     if route == "closed":
         return dim_q_closed(level, n)
     raise ValueError(f"unknown route {route!r}")
@@ -188,7 +181,10 @@ def dim_q_closed(level: int, n: int) -> int:
 
 
 def simple_dims_closed(level: int, n: int) -> dict[int, int]:
-    """Closed-form simple dimensions for l = 4, 5, 6."""
+    """Closed-form simple dimensions for l = 4, 5, 6 (n >= 1; n >= 2 at l = 5)."""
+    lowest = 2 if level == 5 else 1
+    if n < lowest:
+        raise ValueError(f"the closed simple dimensions at level {level} need n >= {lowest}")
     if level == 4:
         if n % 2 == 0:
             return {0: 2 ** (n // 2 - 1), 2: 2 ** (n // 2 - 1)}

@@ -1,4 +1,10 @@
-"""Named verification suites.
+"""Dimension routes and named verification suites.
+
+``routes_at`` is the one place that knows the routes to dim L_t(n) and
+dim Q_n(l) (Gram ranks, alternating sums, recursion matrices, closed forms,
+the ideal generated by E) and where each one reaches; ``agree`` is the rule
+the routes must satisfy.  ``jw_checks`` and ``cell_rank_row`` are the
+Jones-Wenzl and cell-rank checks that the CLI shares with the suites.
 
 Each suite reruns one block of the headline claims by at least two
 independent computational routes and returns a machine-readable report:
@@ -31,82 +37,94 @@ def _check(name: str, ok: bool, detail: str = "") -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Shared dimension-table plumbing (also drives the `dims` subcommand)
+# Dimension routes and shared checks (also drive the CLI)
 # ---------------------------------------------------------------------------
 
-
-def simple_dims_by_routes(
-    level: int, n: int, routes: tuple[str, ...], max_rank_n: int
-) -> dict[int, dict[str, int | None]]:
-    """{t: {route: value-or-None}} for the quotient labels at (level, n)."""
-    out: dict[int, dict[str, int | None]] = {}
-    matrix_dims: dict[int, int] | None = None
-    if "matrix" in routes and level >= 4:
-        try:
-            matrix_dims = quotientdim.dims_by_matrix(level, n)
-        except ValueError:
-            matrix_dims = None
-    closed_dims: dict[int, int] | None = None
-    if "closed" in routes and level in (4, 5, 6):
-        closed_dims = quotientdim.simple_dims_closed(level, n)
-    for t in cellrep.quotient_labels(level, n):
-        row: dict[str, int | None] = {}
-        if "rank" in routes:
-            row["rank"] = (
-                cellrep.simple_dim_rank(t, n, level) if n <= max_rank_n else None
-            )
-        if "altsum" in routes:
-            row["altsum"] = cellrep.simple_dim_altsum(t, n, level)
-        if "matrix" in routes:
-            row["matrix"] = matrix_dims.get(t) if matrix_dims is not None else None
-        if "closed" in routes:
-            row["closed"] = closed_dims.get(t) if closed_dims is not None else None
-        out[t] = row
-    return out
-
-
-def dim_q_by_routes(
+def routes_at(
     level: int,
     n: int,
     routes: tuple[str, ...],
     max_rank_n: int,
     max_ideal_n: int = 8,
-) -> dict[str, int | None]:
-    """dim Q_n(level) per requested route (None when out of range)."""
-    out: dict[str, int | None] = {}
+) -> tuple[dict[str, dict[int, int] | None], dict[str, int | None]]:
+    """Simple dimensions and dim Q_n(level) by each requested route.
+
+    Returns ``(dims, dimq)``: ``dims[route]`` is ``{t: l_t(n)}`` over the
+    quotient labels and ``dimq[route]`` is dim Q_n; either is None where the
+    route does not reach (level, n), including where it raises ValueError.
+    For rank, altsum and matrix, dimq is the sum of squares of the route's
+    dims; "closed" has independent closed forms for both; "ideal" gives only
+    dimq, as C(n) - dim<E>, for level - 1 <= n <= max_ideal_n.
+    """
     labels = cellrep.quotient_labels(level, n)
-    if "rank" in routes:
-        out["rank"] = (
-            sum(cellrep.simple_dim_rank(t, n, level) ** 2 for t in labels)
-            if n <= max_rank_n
-            else None
-        )
-    if "altsum" in routes:
-        out["altsum"] = sum(
-            cellrep.simple_dim_altsum(t, n, level) ** 2 for t in labels
-        )
-    if "matrix" in routes:
+    tables: dict[str, Callable[[], Any]] = {
+        "rank": lambda: {t: cellrep.simple_dim_rank(t, n, level) for t in labels}
+        if n <= max_rank_n
+        else None,
+        "altsum": lambda: {t: cellrep.simple_dim_altsum(t, n, level) for t in labels},
+        "matrix": lambda: quotientdim.dims_by_matrix(level, n),
+        "closed": lambda: quotientdim.simple_dims_closed(level, n),
+        "ideal": lambda: None,
+    }
+    totals: dict[str, Callable[[], Any]] = {
+        "closed": lambda: quotientdim.dim_q_closed(level, n),
+        "ideal": lambda: catalan(n) - tlalg.ideal_dimension(level, n)
+        if level - 1 <= n <= max_ideal_n
+        else None,
+    }
+
+    def reach(compute: Callable[[], Any]) -> Any:
         try:
-            out["matrix"] = quotientdim.dim_q(level, n, "matrix")
+            return compute()
         except ValueError:
-            out["matrix"] = None
-    if "closed" in routes:
-        try:
-            out["closed"] = quotientdim.dim_q_closed(level, n)
-        except ValueError:
-            out["closed"] = None
-    if "ideal" in routes:
-        out["ideal"] = (
-            catalan(n) - tlalg.ideal_dimension(level, n)
-            if level - 1 <= n <= max_ideal_n
-            else None
-        )
-    return out
+            return None
+
+    dims: dict[str, dict[int, int] | None] = {}
+    dimq: dict[str, int | None] = {}
+    for route in routes:
+        if route not in tables:
+            raise ValueError(f"unknown route {route!r}")
+        table = reach(tables[route])
+        dims[route] = None if table is None else {t: table[t] for t in labels}
+        if route in totals:
+            dimq[route] = reach(totals[route])
+        else:
+            dimq[route] = None if table is None else sum(v * v for v in dims[route].values())
+    return dims, dimq
 
 
-def _all_agree(values: dict[str, int | None]) -> bool:
+def agree(values: dict[str, Any]) -> bool:
+    """True when all values that are not None are equal."""
     seen = [v for v in values.values() if v is not None]
-    return all(v == seen[0] for v in seen) if seen else True
+    return all(v == seen[0] for v in seen)
+
+
+def jw_checks(level: int) -> dict[str, bool]:
+    """The defining properties of the Jones-Wenzl idempotent E_{level-1}."""
+    n = level - 1
+    e = tlalg.jones_wenzl(level).element
+    gens = [tlalg.generator(n, i, level) for i in range(1, n)]
+    one = cyclotomic_field(level).one
+    return {
+        "idempotent": e * e == e,
+        "killed_by_generators": all((f * e).is_zero() and (e * f).is_zero() for f in gens),
+        "identity_coefficient_one": e.coefficient(diagram.identity(n)) == one,
+        "trace_zero": tlalg.jones_trace(e).is_zero(),
+    }
+
+
+def cell_rank_row(t: int, n: int, level: int) -> dict[str, Any]:
+    """The cell Gram rank of W_t(n) against its second route: the
+    alternating sum, or w(t, n) off the reflection domain (t = -1 mod level),
+    where the cell is simple."""
+    rank = cellrep.simple_dim_rank(t, n, level)
+    row: dict[str, Any] = {"n": n, "t": t, "w": w_dim(t, n), "rank": rank}
+    if t % level == level - 1:
+        row["agree"] = rank == row["w"]
+    else:
+        row["altsum"] = cellrep.simple_dim_altsum(t, n, level)
+        row["agree"] = rank == row["altsum"]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +185,12 @@ def jw_suite(levels: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> dict[str, Any]:
     t0 = time.perf_counter()
     checks = []
     for level in levels:
-        field = cyclotomic_field(level)
-        n = level - 1
-        e = tlalg.jones_wenzl(level).element
-        one = tlalg.TLElement.one(n, level)
-        props = e * e == e
-        props = props and e.coefficient(diagram.identity(n)) == field.one
-        for i in range(1, n):
-            f = tlalg.generator(n, i, level)
-            props = props and (f * e).is_zero() and (e * f).is_zero()
-        props = props and tlalg.jones_trace(e).is_zero()
+        props = all(jw_checks(level).values())
         checks.append(_check(f"level {level}: idempotent properties", props))
         checks.append(
             _check(
                 f"level {level}: matches recursion oracle",
-                e == tlalg.jones_wenzl_by_recursion(level),
+                tlalg.jones_wenzl(level).element == tlalg.jones_wenzl_by_recursion(level),
             )
         )
     if 3 in levels:
@@ -209,23 +218,11 @@ def ising_suite(max_n: int = 12, max_rank_n: int = 12) -> dict[str, Any]:
     t0 = time.perf_counter()
     checks = []
     for n in range(3, max_n + 1):
-        expected = quotientdim.simple_dims_closed(4, n)
-        table = simple_dims_by_routes(4, n, ("rank", "altsum"), max_rank_n)
-        ok = True
-        for t, row in table.items():
-            want = expected.get(t, 0)
-            ok = ok and row["altsum"] == want
-            if row["rank"] is not None:
-                ok = ok and row["rank"] == want
-        square_sum = sum(
-            (row["rank"] if row["rank"] is not None else row["altsum"]) ** 2
-            for row in table.values()
-        )
-        ok = ok and square_sum == 2 ** (n - 1)
-        detail = ", ".join(
-            f"l_{t}={row['rank'] if row['rank'] is not None else row['altsum']}"
-            for t, row in sorted(table.items())
-        )
+        # The closed route is the pattern l_t = 2^(n/2-1) or 2^((n-1)/2), dim Q_n = 2^(n-1).
+        dims, dimq = routes_at(4, n, ("rank", "altsum", "closed"), max_rank_n)
+        ok = agree(dims) and agree(dimq)
+        shown = dims["rank"] if dims["rank"] is not None else dims["altsum"]
+        detail = ", ".join(f"l_{t}={v}" for t, v in sorted(shown.items()))
         checks.append(_check(f"n={n}: dims and sum of squares", ok, detail))
     return _report("ising", checks, t0)
 
@@ -301,14 +298,14 @@ def fibonacci_suite(max_n: int = 12, bridge_n: int = 15, max_rank_n: int = 12) -
     t0 = time.perf_counter()
     checks = []
     for n in range(4, max_n + 1):
-        routes = dim_q_by_routes(5, n, ("rank", "altsum", "matrix", "closed", "ideal"), max_rank_n)
+        _, dimq = routes_at(5, n, ("rank", "altsum", "matrix", "closed", "ideal"), max_rank_n)
         want = fibonacci(2 * n - 1)
-        ok = all(v == want for v in routes.values() if v is not None)
+        ok = all(v == want for v in dimq.values() if v is not None)
         checks.append(
             _check(
                 f"n={n}: dim Q_n(5) = F_{2*n-1} by all routes",
                 ok,
-                f"want {want}, got {routes}",
+                f"want {want}, got {dimq}",
             )
         )
     ok = True
@@ -328,25 +325,17 @@ def level6_suite(max_n: int = 10, max_rank_n: int = 10) -> dict[str, Any]:
     t0 = time.perf_counter()
     checks = []
     for n in range(2, max_n + 1):
-        expected = quotientdim.simple_dims_closed(6, n)
-        table = simple_dims_by_routes(6, n, ("rank", "altsum", "matrix"), max_rank_n)
-        ok = True
-        for t, row in table.items():
-            want = expected.get(t, 0)
-            for v in row.values():
-                if v is not None and v != want:
-                    ok = False
+        dims, dimq = routes_at(6, n, ("rank", "altsum", "matrix", "closed"), max_rank_n)
         checks.append(
             _check(
                 f"n={n}: simple dimensions match the 3-power pattern",
-                ok,
-                ", ".join(f"l_{t}={expected.get(t, 0)}" for t in sorted(table)),
+                agree(dims),
+                ", ".join(f"l_{t}={v}" for t, v in sorted(dims["closed"].items())),
             )
         )
         want_q = (3 ** (n - 1) + 1) // 2
-        routes = dim_q_by_routes(6, n, ("rank", "altsum", "matrix", "closed"), max_rank_n)
-        ok = all(v == want_q for v in routes.values() if v is not None)
-        checks.append(_check(f"n={n}: dim Q_n(6) = (3^(n-1)+1)/2", ok, f"want {want_q}, got {routes}"))
+        ok = all(v == want_q for v in dimq.values() if v is not None)
+        checks.append(_check(f"n={n}: dim Q_n(6) = (3^(n-1)+1)/2", ok, f"want {want_q}, got {dimq}"))
     return _report("level6", checks, t0)
 
 
@@ -425,16 +414,13 @@ def gram_suite(level: int = 5, max_n: int = 8) -> dict[str, Any]:
         ok = True
         detail = ""
         for t in cellrep.admissible_t(n):
-            rank = cellrep.simple_dim_rank(t, n, level)
-            if t % level == level - 1:
-                # Cells off the reflection domain are simple.
-                if rank != w_dim(t, n):
-                    ok = False
-                    detail = f"t={t}: rank {rank} != w {w_dim(t, n)}"
-                continue
-            if rank != cellrep.simple_dim_altsum(t, n, level):
+            row = cell_rank_row(t, n, level)
+            rank = row["rank"]
+            if not row["agree"]:
                 ok = False
-                detail = f"t={t}: rank {rank} != altsum"
+                detail = f"t={t}: rank {rank} != " + ("altsum" if "altsum" in row else f"w {row['w']}")
+            if "altsum" not in row:
+                continue
             g = cellrep.g_apply(t, level)
             if g <= n and (n - g) % 2 == 0:
                 lg = cellrep.simple_dim_rank(g, n, level)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -153,22 +155,53 @@ def test_gram_rank_t_admissible_for_no_n_is_a_usage_error(capsys):
     assert [(r["n"], r["t"]) for r in json.loads(out)["rows"]] == [(5, 3)]
 
 
-def test_run_config_invariants():
-    import pytest
+def test_dims_input_validation(capsys):
+    for argv in (
+        ["--level", "2", "--n", "3..4"],
+        ["--level", "4", "--n", "5..3"],
+        ["--level", "4", "--n", "3..4", "--routes", ""],
+        ["--level", "4", "--n", "3..4", "--routes", "bogus"],
+    ):
+        assert cli.main(["dims", *argv]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+    code, out = run(capsys, "dims", "--level", "4", "--n", "4..4")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert {r["t"] for r in rows} == {0, 2} and all(r["agree"] for r in rows)
 
-    from tlq.cli import RunConfig, compute_dims
 
-    with pytest.raises(ValueError):
-        RunConfig(level=2, n_range=(3, 4))
-    with pytest.raises(ValueError):
-        RunConfig(level=4, n_range=(5, 3))
-    with pytest.raises(ValueError):
-        RunConfig(level=4, n_range=(3, 4), routes=())
-    with pytest.raises(ValueError):
-        RunConfig(level=4, n_range=(3, 4), routes=("bogus",))
-    table = compute_dims(RunConfig(level=4, n_range=(4, 4)))
-    assert table.all_agree
-    assert {r["t"] for r in table.rows} == {0, 2}
+@pytest.mark.parametrize("level, n", [(4, "0..2"), (6, "0..1"), (5, "0..2")])
+def test_dims_below_the_closed_forms(capsys, level, n):
+    # Below the domain of the closed simple dimensions the route is absent,
+    # not a disagreement.
+    code, out = run(capsys, "dims", "--level", str(level), "--n", n)
+    assert code == 0
+    assert all(r["agree"] for r in json.loads(out)["rows"])
+
+
+def test_table_columns_are_the_union_of_row_keys(capsys):
+    # Trace rows gain ideal_dim from n = level - 1 on.
+    argv = ("gram-rank", "--level", "4", "--n", "2..4", "--kind", "trace", "--format")
+    code, out = run(capsys, *argv, "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["ideal_dim"] for r in rows] == ["", "1", "6"]
+    code, out = run(capsys, *argv, "markdown")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "| n | dim | rank | agree | ideal_dim |"
+    assert lines[2] == "| 2 | 2 | 2 | True |  |"
+    assert lines[4] == "| 4 | 14 | 8 | True | 6 |"
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line for line in readme.splitlines() if line.startswith("tlq ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
 
 
 def test_usage_errors(capsys):

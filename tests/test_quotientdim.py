@@ -21,6 +21,7 @@ from tlq.quotientdim import (
     two_step,
 )
 from tlq.tlalg import ideal_dimension
+from tlq.verify import agree, routes_at
 
 
 def test_recursion_matrix_shapes():
@@ -103,6 +104,9 @@ def test_closed_form_dims():
         assert simple_dims_closed(4, n) == dims_by_matrix(4, n)
         assert simple_dims_closed(5, n) == dims_by_matrix(5, n)
         assert simple_dims_closed(6, n) == dims_by_matrix(6, n)
+    for level, n in ((4, 0), (5, 1), (6, 0)):
+        with pytest.raises(ValueError):
+            simple_dims_closed(level, n)
 
 
 def test_dim_q_routes_and_closed_forms():
@@ -112,7 +116,7 @@ def test_dim_q_routes_and_closed_forms():
         assert dim_q(6, n) == (3 ** (n - 1) + 1) // 2
         for level in (4, 5, 6):
             assert dim_q(level, n) == dim_q(level, n, "quadratic")
-            assert dim_q(level, n) == dim_q(level, n, "altsum")
+            assert dim_q(level, n) == routes_at(level, n, ("altsum",), 0)[1]["altsum"]
             assert dim_q(level, n) == dim_q_closed(level, n)
     assert dim_q_closed(3, 9) == 1
     with pytest.raises(ValueError):
@@ -171,3 +175,24 @@ def test_one_step_recurrence_on_altsum_tables():
                     assert lhs == l(level - 3, n)
                 else:
                     assert lhs == l(t - 1, n) + l(t + 1, n)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_routes_at_agree_and_reach(level):
+    max_rank_n, max_ideal_n = 7, 6
+    for n in range(0, 9):
+        dims, dimq = routes_at(
+            level, n, ("rank", "altsum", "matrix", "closed", "ideal"), max_rank_n, max_ideal_n
+        )
+        assert agree(dims) and agree(dimq), (n, dims, dimq)
+        reach = {
+            "rank": n <= max_rank_n,
+            "altsum": True,
+            "matrix": level >= 4 and n >= level - 3,
+            "closed": level in (4, 5, 6) and n >= (2 if level == 5 else 1),
+            "ideal": False,
+        }
+        assert {r: v is not None for r, v in dims.items()} == reach, n
+        reach["closed"] = n >= (2 if level == 6 else 1)
+        reach["ideal"] = level - 1 <= n <= max_ideal_n
+        assert {r: v is not None for r, v in dimq.items()} == reach, n
