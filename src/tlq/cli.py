@@ -157,7 +157,9 @@ def cmd_jw(args: argparse.Namespace) -> int:
 def cmd_gram_rank(args: argparse.Namespace) -> int:
     lo, hi = _parse_n_range(args.n)
     ns = range(lo, hi + 1)
-    if args.kind == "cell" and args.t is not None and not any(args.t in cellrep.admissible_t(n) for n in ns):
+    if args.t is not None and args.kind == "trace":
+        raise ValueError("--t selects a cell module and applies to --kind cell only")
+    if args.t is not None and not any(args.t in cellrep.admissible_t(n) for n in ns):
         raise ValueError(f"t = {args.t} is admissible for no n in {args.n}")
     rows = []
     for n in ns:
@@ -268,7 +270,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gram-rank", help="Gram matrix ranks (cell or trace form)")
     add_common(p, nrange=True)
-    p.add_argument("--t", type=int, default=None, help="restrict to one through-strand label")
+    p.add_argument("--t", type=int, default=None, help="restrict to one through-strand label (--kind cell)")
     p.add_argument("--kind", choices=("cell", "trace"), default="cell")
     p.set_defaults(func=cmd_gram_rank)
 

@@ -10,7 +10,11 @@ line, and the flat (0, t+n)-form of a diagram *is* its pairing tuple.
 
 All functions here are pure and all values immutable.  ``diagram_basis``
 is the one indexed basis of monic (t, n)-diagrams per (t, n), and the level
-independent tables (cell form, trace, generator actions) hang off it.
+independent tables (generator actions, cell form, trace) hang off it.  The
+tables are built without composing pairs of diagrams: the action of each
+generator f_k on a diagram is a cup-cap rule on its pairing, and the cell
+form <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed
+row of it and a walk of the generator actions give the rest.
 """
 
 from __future__ import annotations
@@ -280,6 +284,8 @@ class DiagramBasis:
     index, and the level-independent tables on them, built on first use.  The
     basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
     only it has the star permutation, the trace table and the generator maps.
+    The generator actions are read off the pairings, and the cell form table
+    follows from one composed row by the invariance <f_k x, y> = <x, f_k y>.
     """
 
     def __init__(self, t: int, n: int):
@@ -295,22 +301,70 @@ class DiagramBasis:
         return out
 
     @cached_property
+    def actions(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """f_k stacked on top of each diagram, for k = 1 .. n-1: pairs (target
+        position, loop count) per source, the target -1 where the through-degree
+        drops.  Each entry is the cup-cap rule on the top points a = t+k-1 and
+        a+1, with no composition: joined to each other, they close a loop on
+        the same diagram; both through strands, the product is not monic;
+        otherwise they are joined to each other and their partners likewise."""
+        t, index = self.t, self.index
+        size = len(self.pairings)
+        out = []
+        for a in range(t, t + self.n - 1):
+            b = a + 1
+            tgt = np.empty(size, dtype=np.intp)
+            loops = np.zeros(size, dtype=np.int64)
+            for i, p in enumerate(self.pairings):
+                pa, pb = p[a], p[b]
+                if pa == b:
+                    tgt[i], loops[i] = i, 1
+                elif pa < t and pb < t:
+                    tgt[i] = -1
+                else:
+                    q = list(p)
+                    q[a], q[b], q[pa], q[pb] = b, a, pb, pa
+                    tgt[i] = index[tuple(q)]
+            tgt.setflags(write=False)
+            loops.setflags(write=False)
+            out.append((tgt, loops))
+        return tuple(out)
+
+    @cached_property
     def cell_exponents(self) -> np.ndarray:
         """exponents[i, j] = k when the cell form pairs D_i and D_j to
         delta^k, or -1 when the pairing vanishes; symmetric.  At t = 0 it is
-        the meander matrix."""
+        the meander matrix.
+
+        Only row 0 is composed.  Every f_k is self-adjoint for the form,
+        <f_k D_i, D_j> = <D_i, f_k D_j>, so when f_k D_i = D_i' (no loop) row
+        i' is row i read at the targets of f_k plus its loops; a breadth-first
+        walk of these moves from D_0 reaches every diagram of the cell."""
         t, n, basis = self.t, self.n, self.pairings
         size = len(basis)
-        ident = identity_pairing(t)
         out = np.full((size, size), -1, dtype=np.int16)
-        stars = [star_pairing(t + n, p) for p in basis]
-        for i in range(size):
-            si = stars[i]
-            for j in range(i, size):
-                pairing, loops = compose_pairings(t, n, t, basis[j], si)
+        if size:
+            ident, first = identity_pairing(t), star_pairing(t + n, basis[0])
+            for j, p in enumerate(basis):
+                pairing, loops = compose_pairings(t, n, t, p, first)
                 if pairing == ident:
-                    out[i, j] = loops
-                    out[j, i] = loops
+                    out[0, j] = loops
+            moves = [(tgt.tolist(), tgt, loops, tgt >= 0) for tgt, loops in self.actions]
+            reached = [True] + [False] * (size - 1)
+            queue = [0]
+            for i in queue:
+                row = out[i]
+                for targets, tgt, loops, nonzero in moves:
+                    k = targets[i]
+                    if k >= 0 and not reached[k]:
+                        reached[k] = True
+                        queue.append(k)
+                        moved = row[tgt]
+                        out[k] = np.where(nonzero & (moved >= 0), moved + loops, -1)
+            if len(queue) < size:
+                raise ArithmeticError(
+                    f"the generator walk reached {len(queue)} of {size} diagrams of ({t}, {n})"
+                )
         out.setflags(write=False)
         return out
 
@@ -324,22 +378,11 @@ class DiagramBasis:
     def generator_maps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Left and right multiplication by each generator f_i of TL_n as
         weighted functional graphs on the basis: pairs (target position, loop
-        count) per source, in the order f_1 left, f_1 right, f_2 left, ..."""
+        count) per source, in the order f_1 left, f_1 right, f_2 left, ...
+        On the flat points of an (m, m)-diagram, f_i * D is the action f_(m+i)
+        and D * f_i is f_(m-i)."""
         m = self.n // 2
-        maps = []
-        for i in range(1, m):
-            gp = generator_pairing(m, i)
-            for left in (True, False):
-                tgt = np.empty(len(self.pairings), dtype=np.intp)
-                loops = np.empty(len(self.pairings), dtype=np.int64)
-                for k, p in enumerate(self.pairings):
-                    # f_i * D stacks f_i on top of D; D * f_i stacks D on f_i.
-                    res, loops[k] = compose_pairings(m, m, m, *((p, gp) if left else (gp, p)))
-                    tgt[k] = self.index[res]
-                tgt.setflags(write=False)
-                loops.setflags(write=False)
-                maps.append((tgt, loops))
-        return tuple(maps)
+        return tuple(self.actions[m - 1 + k] for i in range(1, m) for k in (i, -i))
 
 
 # The one instance per (t, n); empty when the parity fails or t > n.

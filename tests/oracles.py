@@ -19,6 +19,7 @@ from tlq.diagram import (
     closure_loops,
     compose_pairings,
     generator_diagram,
+    generator_pairing,
     identity_pairing,
     monic_pairings,
     star_pairing,
@@ -365,6 +366,25 @@ def generator_action_maps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             tgt.setflags(write=False)
             loops.setflags(write=False)
             maps.append((tgt, loops))
+    return tuple(maps)
+
+
+def cell_generator_actions(t: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """f_k composed on top of each monic (t, n)-diagram, k = 1 .. n-1: pairs
+    (target index, loop count) per source, the target -1 where the product
+    joins two bottom points and so has fewer through strands."""
+    basis = monic_pairings(t, n)
+    index = {pairing: i for i, pairing in enumerate(basis)}
+    maps = []
+    for k in range(1, n):
+        gp = generator_pairing(n, k)
+        tgt = np.empty(len(basis), dtype=np.intp)
+        loops = np.empty(len(basis), dtype=np.int64)
+        for i, pairing in enumerate(basis):
+            res, loops[i] = compose_pairings(t, n, n, pairing, gp)
+            monic = all(res[b] >= t for b in range(t))
+            tgt[i] = index[res] if monic else -1
+        maps.append((tgt, loops))
     return tuple(maps)
 
 

@@ -12,7 +12,7 @@ from tlq.cellrep import admissible_t
 from tlq.diagram import diagram_basis, star_pairing, tl_pairings
 
 CELLS = [(t, n) for n in range(11) for t in admissible_t(n)]
-TL_N = range(1, 7)
+TL_N = range(1, 8)
 
 
 @pytest.mark.parametrize("t, n", CELLS)
@@ -21,6 +21,16 @@ def test_index_and_cell_table_match_the_per_pair_loop(t, n):
     assert len(basis.index) == len(basis.pairings) > 0
     assert all(basis.pairings[basis.index[p]] == p for p in basis.pairings)
     np.testing.assert_array_equal(basis.cell_exponents, oracles.cell_gram_exponents(t, n))
+
+
+@pytest.mark.parametrize("t, n", CELLS)
+def test_actions_match_the_composed_generators(t, n):
+    actions = diagram_basis(t, n).actions
+    reference = oracles.cell_generator_actions(t, n)
+    assert len(actions) == len(reference) == max(n - 1, 0)
+    for (tgt, loops), (ref_tgt, ref_loops) in zip(actions, reference):
+        np.testing.assert_array_equal(tgt, ref_tgt)
+        np.testing.assert_array_equal(loops, ref_loops)
 
 
 @pytest.mark.parametrize("n", TL_N)
@@ -42,8 +52,38 @@ def test_tl_tables_match_the_per_pair_loops(n):
 def test_tables_are_read_only():
     basis = diagram_basis(0, 8)
     tables = [basis.star, basis.cell_exponents]
-    tables += [a for pair in basis.generator_maps for a in pair]
+    tables += [a for pairs in (basis.actions, basis.generator_maps) for pair in pairs for a in pair]
     assert not any(a.flags.writeable for a in tables)
+
+
+def test_cell_walk_raises_when_a_diagram_is_unreached(monkeypatch):
+    basis = diagram.DiagramBasis(2, 6)
+    last = len(basis.pairings) - 1
+    cut = []
+    for tgt, loops in basis.actions:
+        # No move other than a loop on itself leads to the last diagram.
+        tgt = np.where((tgt == last) & (np.arange(len(tgt)) != last), -1, tgt)
+        cut.append((tgt, loops))
+    monkeypatch.setattr(basis, "actions", tuple(cut))
+    with pytest.raises(ArithmeticError, match="reached"):
+        basis.cell_exponents
+
+
+def test_tl8_tables_compose_at_most_one_row(monkeypatch):
+    calls = []
+    real = diagram.compose_pairings
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diagram, "compose_pairings", counted)
+    basis = diagram.DiagramBasis(0, 16)  # a fresh instance, not the cached one
+    meander, maps = basis.cell_exponents, basis.generator_maps
+    size = len(basis.pairings)
+    assert size == 1430 and len(calls) <= size and len(maps) == 14
+    # The meander matrix is symmetric and pairs each diagram with itself to delta^8.
+    assert (meander == meander.T).all() and (np.diagonal(meander) == 8).all()
 
 
 @pytest.mark.parametrize("level, n", [(3, 2), (3, 3), (4, 3), (4, 5), (5, 6), (6, 6)])

@@ -155,6 +155,12 @@ def test_gram_rank_t_admissible_for_no_n_is_a_usage_error(capsys):
     assert [(r["n"], r["t"]) for r in json.loads(out)["rows"]] == [(5, 3)]
 
 
+def test_gram_rank_trace_refuses_t(capsys):
+    assert cli.main(["gram-rank", "--level", "4", "--n", "2..3", "--kind", "trace", "--t", "1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--kind cell" in captured.err
+
+
 def test_dims_input_validation(capsys):
     for argv in (
         ["--level", "2", "--n", "3..4"],

@@ -283,14 +283,16 @@ def test_kronecker_overflow_raises(monkeypatch):
 
 
 def test_packing_checks_hold_under_python_O():
-    # The exactness checks here, the table-based kill check of radical_split
-    # and its retry paths must all raise without the help of assert.
+    # The exactness checks here, the table-based kill check of radical_split,
+    # its retry paths and the cell-form walk's guard must all raise without
+    # the help of assert.
     root = Path(__file__).resolve().parents[1]
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
         (Path(__file__).resolve(), "kronecker or inverse or norm"),
         (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails"),
+        (root / "tests" / "test_basis.py", "unreached"),
     ):
         result = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
