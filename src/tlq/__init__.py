@@ -56,10 +56,8 @@ from .exactnum import (
     CycNum,
     CyclotomicField,
     ExactMatrix,
-    LaurentPolyZ,
     cyclotomic_field,
     cyclotomic_polynomial,
-    quantum_factorial,
     quantum_int,
     rank_by_columns,
 )

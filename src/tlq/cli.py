@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 2 mathematical disagreement between routes (the
 important signal: a falsified identity); 3 resource cap exceeded; 4 usage
-error.  The exact core never touches floats; decimal approximations are
-attached only here, at the presentation layer.
+error (a bad argument, or an output file that cannot be written).  The
+exact core never touches floats; decimal approximations are attached only
+here, at the presentation layer.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         a, b = int(lo), int(hi)
     else:
         a = b = int(text)
+    if a < 0:
+        raise ValueError("n must be non-negative")
     if a > b:
         raise ValueError("empty n range")
     return a, b
@@ -89,8 +92,11 @@ def _emit(payload: dict[str, Any], fmt: str, out: str | None) -> None:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

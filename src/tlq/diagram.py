@@ -15,6 +15,10 @@ tables are built without composing pairs of diagrams: the action of each
 generator f_k on a diagram is a cup-cap rule on its pairing, and the cell
 form <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed
 row of it and a walk of the generator actions give the rest.
+
+``hook_poly`` gives the hook quotient of an arc-nesting forest, the
+coefficient of the Jones-Wenzl idempotent, as a power of q times an integer
+polynomial in q^2.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exactnum import LaurentPolyZ, quantum_factorial, quantum_int
+from .exactnum import poly_divexact
 
 
 def _is_noncrossing_involution(pairing: tuple[int, ...]) -> bool:
@@ -431,11 +435,24 @@ def nesting_forest(d: Diagram) -> Forest:
     return Forest(tuple(arcs), tuple(parents), tuple(sizes))
 
 
-def hook_poly(forest: Forest) -> LaurentPolyZ:
-    """The hook quotient [|F|]! / prod_a [|F_<=a|], an exact Laurent
-    polynomial (non-exact division signals an invariant violation)."""
-    num = quantum_factorial(len(forest))
-    den = LaurentPolyZ.one()
-    for s in forest.sizes:
-        den = den * quantum_int(s)
-    return num.divexact(den)
+def _times_ones(poly: list[int], m: int) -> list[int]:
+    """poly * (1 + x + ... + x^(m-1))."""
+    out = [0] * (len(poly) + m - 1)
+    for i, c in enumerate(poly):
+        for j in range(i, i + m):
+            out[j] += c
+    return out
+
+
+def hook_poly(forest: Forest) -> tuple[int, list[int]]:
+    """The hook quotient [|F|]! / prod_a [|F_<=a|] as a pair (s, coeffs),
+    meaning q^s * sum_k coeffs[k] q^(2k).
+
+    With [m] = q^(1-m) (1 + q^2 + ... + q^(2m-2)) both sides are a power of q
+    times an integer polynomial in q^2; ``poly_divexact`` raises
+    ``ArithmeticError`` if the quotient is not one (an invariant violation).
+    """
+    num, den = [1], [1]
+    for j, s in enumerate(forest.sizes, 1):
+        num, den = _times_ones(num, j), _times_ones(den, s)
+    return sum(forest.sizes) - len(forest) * (len(forest) + 1) // 2, poly_divexact(num, den)

@@ -1,5 +1,5 @@
-"""Exact arithmetic: integer Laurent polynomials, the cyclotomic fields
-Q(zeta_{2l}), quantum integers and exact dense linear algebra.
+"""Exact arithmetic: the cyclotomic fields Q(zeta_{2l}), quantum integers
+and exact dense linear algebra.
 
 Every scalar used by the algebra layers is a ``CycNum``: a residue modulo the
 2l-th cyclotomic polynomial with rational coefficients, stored as an integer
@@ -7,9 +7,10 @@ coefficient vector over a common denominator.  There is no floating point
 anywhere in this module; approximations exist only for display purposes.
 This module is the one place that knows that representation: each field
 keeps one table of zeta^0 .. zeta^(2l-1), the inverse is the product of the
-Galois conjugates over the (checked) rational norm, ``_poly_divexact`` is
-the one polynomial long division, and ``mod_p_image`` is the one reduction
-of the field into GF(p).
+Galois conjugates over the (checked) rational norm, ``poly_divexact`` is
+the one integer polynomial long division, ``from_q_poly`` evaluates an
+integer polynomial in q^2 (times a power of q) by summing table rows, and
+``mod_p_image`` is the one reduction of the field into GF(p).
 Long sums of products run on ``KroneckerPacking``: each coefficient vector
 is packed into one integer, so one integer multiply-add does a whole
 polynomial product and sum.
@@ -35,153 +36,16 @@ from ._intlinalg import root_of_unity
 
 
 # ---------------------------------------------------------------------------
-# Integer Laurent polynomials
-# ---------------------------------------------------------------------------
-
-
-class LaurentPolyZ:
-    """A Laurent polynomial with integer coefficients, keyed by exponent.
-
-    Zero coefficients are never stored, which makes equality structural.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs: dict[int, int] = {
-            e: c for e, c in (coeffs or {}).items() if c
-        }
-
-    @classmethod
-    def zero(cls) -> LaurentPolyZ:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPolyZ:
-        return cls({0: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPolyZ({0: other})
-        if not isinstance(other, LaurentPolyZ):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: LaurentPolyZ) -> LaurentPolyZ:
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolyZ(out)
-
-    def __neg__(self) -> LaurentPolyZ:
-        return LaurentPolyZ({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: LaurentPolyZ) -> LaurentPolyZ:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPolyZ | int) -> LaurentPolyZ:
-        if isinstance(other, int):
-            return LaurentPolyZ({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolyZ(out)
-
-    __rmul__ = __mul__
-
-    def min_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def max_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
-
-    def divexact(self, other: LaurentPolyZ) -> LaurentPolyZ:
-        """Exact division; raises ``ArithmeticError`` if the quotient is not a
-        Laurent polynomial with integer coefficients."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPolyZ()
-        # Shift both to ordinary polynomials and long-divide.
-        sa, sb = self.min_exponent(), other.min_exponent()
-        num = [self.coeffs.get(e, 0) for e in range(sa, self.max_exponent() + 1)]
-        den = [other.coeffs.get(e, 0) for e in range(sb, other.max_exponent() + 1)]
-        quot = _poly_divexact(num, den)
-        return LaurentPolyZ({sa - sb + k: c for k, c in enumerate(quot)})
-
-    def evaluate(self, x: "CycNum") -> "CycNum":
-        """Evaluate at a field element (a ring homomorphism); x is inverted
-        at most once."""
-        total = x.field.zero
-        x_inv = x.inverse() if any(e < 0 for e in self.coeffs) else None
-        for e, c in self.coeffs.items():
-            total = total + (x**e if e >= 0 else x_inv ** -e) * c
-        return total
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(f"{c:+d}")
-            elif e == 1:
-                parts.append(f"{c:+d}*x")
-            else:
-                parts.append(f"{c:+d}*x^{e}")
-        s = " ".join(parts)
-        return s[1:] if s.startswith("+") else s
-
-
-def quantum_int(m: int, at: "CycNum | None" = None) -> "LaurentPolyZ | CycNum":
-    """The quantum integer [m]_x = x^{m-1} + x^{m-3} + ... + x^{-(m-1)}.
-
-    Symbolic when ``at`` is None, otherwise evaluated at the field element.
-    [0] = 0.
-    """
-    if m < 0:
-        raise ValueError("quantum integers are defined for m >= 0")
-    sym = LaurentPolyZ({m - 1 - 2 * j: 1 for j in range(m)})
-    if at is None:
-        return sym
-    return sym.evaluate(at)
-
-
-def quantum_factorial(m: int) -> LaurentPolyZ:
-    """[m]_x! = [m]_x [m-1]_x ... [1]_x, with [0]! = 1."""
-    if m < 0:
-        raise ValueError("quantum factorials are defined for m >= 0")
-    out = LaurentPolyZ.one()
-    for j in range(1, m + 1):
-        out = out * quantum_int(j)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Cyclotomic fields
 # ---------------------------------------------------------------------------
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """The quotient of integer polynomials (coefficients low to high, den with
-    a nonzero top coefficient); raises ``ArithmeticError`` unless it is exact
-    with integer coefficients."""
+def poly_divexact(num: list[int], den: list[int]) -> list[int]:
+    """The quotient of integer polynomials (coefficients low to high); raises
+    ``ArithmeticError`` unless it is exact with integer coefficients, and
+    ``ZeroDivisionError`` if den has no nonzero top coefficient."""
+    if not den or not den[-1]:
+        raise ZeroDivisionError("the divisor has no nonzero top coefficient")
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
     lead = den[dd]
@@ -208,7 +72,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
+            poly = poly_divexact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
 
@@ -270,6 +134,17 @@ class CyclotomicField:
 
     def from_zeta_power(self, k: int) -> CycNum:
         return CycNum(self, 1, self._zeta_powers[k % (2 * self.level)])
+
+    def from_q_poly(self, shift: int, coeffs: Sequence[int]) -> CycNum:
+        """q^shift * sum_k coeffs[k] q^(2k), summed in integers from rows of
+        the zeta-power table: q = zeta^(l+1), so q^2 = zeta^2."""
+        out = [0] * self.degree
+        for k, c in enumerate(coeffs):
+            if c:
+                row = self._zeta_powers[((self.level + 1) * shift + 2 * k) % (2 * self.level)]
+                for j, v in enumerate(row):
+                    out[j] += c * v
+        return CycNum._make(self, 1, out)
 
     def _reduce(self, prod: list[int]) -> list[int]:
         """Coefficients of a polynomial of degree < 2d-1 modulo Phi_{2l}."""
@@ -489,6 +364,17 @@ def powers(x: CycNum, upto: int) -> tuple[CycNum, ...]:
     for _ in range(upto):
         out.append(out[-1] * x)
     return tuple(out)
+
+
+def quantum_int(m: int, x: CycNum) -> CycNum:
+    """The quantum integer [m]_x = x^{m-1} + x^{m-3} + ... + x^{-(m-1)} at a
+    field element x, which is inverted once.  [0] = 0.
+    """
+    if m < 0:
+        raise ValueError("quantum integers are defined for m >= 0")
+    if m == 0:
+        return x.field.zero
+    return sum(powers(x * x, m - 1), x.field.zero) * x.inverse() ** (m - 1)
 
 
 # ---------------------------------------------------------------------------

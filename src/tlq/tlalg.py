@@ -1,6 +1,7 @@
 """The algebra TL_n(q) at a root of unity: diagram linear combinations, the
-Jones trace, the Jones-Wenzl idempotent from the hook formula, and the ideal
-it generates.
+Jones trace, the Jones-Wenzl idempotent from the hook formula (each
+coefficient an integer polynomial in q^2 times a power of q, read off the
+field's zeta-power table), and the ideal it generates.
 
 Multiplication convention: ``x * y`` acts as the composite "apply y, then x",
 so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
@@ -213,7 +214,7 @@ class JWIdempotent:
 def jones_wenzl(level: int) -> JWIdempotent:
     """E_{l-1} by the closed hook formula: the coefficient of a diagram D is
     the hook quotient of the arc-nesting forest of its flat rotation,
-    evaluated at q."""
+    evaluated at q by ``CyclotomicField.from_q_poly``."""
     field = cyclotomic_field(level)
     n = level - 1
     for m in range(1, level):
@@ -221,7 +222,7 @@ def jones_wenzl(level: int) -> JWIdempotent:
             raise ArithmeticError("[m]_q vanished below the level; wrong field setup")
     terms: dict[Diagram, CycNum] = {}
     for d in tl_basis(n):
-        coeff = hook_poly(nesting_forest(rotate_to_flat(d))).evaluate(field.q)
+        coeff = field.from_q_poly(*hook_poly(nesting_forest(rotate_to_flat(d))))
         if coeff:
             terms[d] = coeff
     return JWIdempotent(level, TLElement(n, field, terms))

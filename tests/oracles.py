@@ -25,7 +25,7 @@ from tlq.diagram import (
     star_pairing,
     tl_pairings,
 )
-from tlq.exactnum import CycNum, KroneckerPacking, LaurentPolyZ, cyclotomic_field, powers
+from tlq.exactnum import CycNum, CyclotomicField, KroneckerPacking, cyclotomic_field, powers
 from tlq.tlalg import TLElement
 
 
@@ -152,12 +152,13 @@ def markov_trace(x: TLElement) -> CycNum:
     return total * dinv_n
 
 
-def laurent_evaluate(poly: LaurentPolyZ, x: CycNum) -> CycNum:
-    """A Laurent polynomial at x, one power x ** e per term (each negative
-    exponent inverts x afresh); the reference for ``LaurentPolyZ.evaluate``."""
-    total = x.field.zero
-    for e, c in poly.coeffs.items():
-        total = total + (x**e) * c
+def q_poly_by_powers(field: CyclotomicField, shift: int, coeffs: list[int]) -> CycNum:
+    """q^shift * sum_k coeffs[k] q^(2k), one power q ** (shift + 2k) per term
+    (each negative exponent inverts q afresh); the reference for
+    ``CyclotomicField.from_q_poly``."""
+    total = field.zero
+    for k, c in enumerate(coeffs):
+        total = total + (field.q ** (shift + 2 * k)) * c
     return total
 
 

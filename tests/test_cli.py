@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,6 +200,48 @@ def test_table_columns_are_the_union_of_row_keys(capsys):
     assert lines[0] == "| n | dim | rank | agree | ideal_dim |"
     assert lines[2] == "| 2 | 2 | 2 | True |  |"
     assert lines[4] == "| 4 | 14 | 8 | True | 6 |"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--level", "4"),
+        ("gram-rank", "--level", "5", "--kind", "trace"),
+        ("gram-rank", "--level", "5", "--kind", "cell"),
+        ("quotient", "--level", "4"),
+        ("clifford-check",),
+    ],
+)
+@pytest.mark.parametrize("n", ["-3..-1", "-1..2", "-2"])
+def test_negative_n_is_a_usage_error(capsys, argv, n):
+    assert cli.main([*argv, f"--n={n}"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [("dims", "--level", "4", "--n", "3..4"), ("verify", "q3", "--max-n", "4")]
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main([*argv, "--out", str(target)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+
+def test_dimension_tables_script(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "dimension_tables.py"
+    spec = importlib.util.spec_from_file_location("dimension_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "5", str(tmp_path)])
+    assert script.main() == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"{kind}_level{level}.md" for kind in ("dims", "quotient") for level in (3, 4, 5, 6))
+    for name in names:
+        assert (tmp_path / name).read_text().startswith("| n |")
 
 
 def test_readme_commands_parse():

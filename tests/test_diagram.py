@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tlq.combinatorics import catalan, w_dim
 from tlq.diagram import (
     Diagram,
+    Forest,
     compose,
     enumerate_monic,
     generator_diagram,
@@ -21,7 +22,6 @@ from tlq.diagram import (
     through_strands,
     tl_basis,
 )
-from tlq.exactnum import LaurentPolyZ, quantum_int
 
 
 def any_diagram(src: int, dst: int):
@@ -147,13 +147,24 @@ def test_nesting_forest_shapes():
 
 
 def test_hook_polynomials():
-    assert hook_poly(nesting_forest(Diagram(0, 2, (1, 0)))) == LaurentPolyZ.one()
-    assert hook_poly(nesting_forest(Diagram(0, 4, (3, 2, 1, 0)))) == LaurentPolyZ.one()
-    assert hook_poly(nesting_forest(Diagram(0, 4, (1, 0, 3, 2)))) == quantum_int(2)
+    # Pairs (s, coeffs) mean q^s * sum_k coeffs[k] q^(2k); [2] = q^-1 + q.
+    assert hook_poly(nesting_forest(Diagram(0, 2, (1, 0)))) == (0, [1])
+    assert hook_poly(nesting_forest(Diagram(0, 4, (3, 2, 1, 0)))) == (0, [1])
+    assert hook_poly(nesting_forest(Diagram(0, 4, (1, 0, 3, 2)))) == (-1, [1, 1])
     # Forest with three arcs: one root enclosing two side-by-side children has
     # hook [3]!/([1][1][3]) = [2].
     flat = Diagram(0, 6, (5, 2, 1, 4, 3, 0))
-    assert hook_poly(nesting_forest(flat)) == quantum_int(2)
+    assert hook_poly(nesting_forest(flat)) == (-1, [1, 1])
+
+
+def test_hook_poly_raises_for_sizes_of_no_forest():
+    # Down-set sizes that no nesting forest has leave a non-polynomial
+    # quotient: [2]!/([2][2]) has fewer terms than its divisor, and
+    # [3]!/([2][2][1]) leaves a remainder.
+    for sizes in ((2, 2), (2, 2, 1)):
+        arcs = tuple((2 * k, 2 * k + 1) for k in range(len(sizes)))
+        with pytest.raises(ArithmeticError):
+            hook_poly(Forest(arcs, (-1,) * len(sizes), sizes))
 
 
 def test_diagram_validation():

@@ -14,22 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import euclid_inverse, fraction_rank, laurent_evaluate, quantum_int_by_ratio
+from oracles import euclid_inverse, fraction_rank, q_poly_by_powers, quantum_int_by_ratio
 from tlq import _intlinalg, exactnum
+from tlq.diagram import Diagram, hook_poly, nesting_forest
 from tlq.exactnum import (
     CycNum,
     ExactMatrix,
     KroneckerPacking,
-    LaurentPolyZ,
     cyclotomic_field,
     cyclotomic_polynomial,
     mod_p_image,
-    quantum_factorial,
+    poly_divexact,
     quantum_int,
     rank_by_columns,
 )
 
 LEVELS = (3, 4, 5, 6, 7, 8)
+INVERSE_LEVELS = tuple(range(3, 13))
 
 
 def cyc_numbers(level: int):
@@ -85,14 +86,26 @@ def test_quantum_int_matches_ratio(level):
         assert quantum_int(m, field.q) == quantum_int_by_ratio(m, level)
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _q_factorial(m: int) -> tuple[int, list[int]]:
+    """[m]! as the hook quotient of m side-by-side arcs."""
+    return hook_poly(nesting_forest(Diagram(0, 2 * m, tuple(k ^ 1 for k in range(2 * m)))))
+
+
 def test_quantum_int_symbolic():
-    assert quantum_int(0) == LaurentPolyZ.zero()
-    assert quantum_int(1) == LaurentPolyZ.one()
-    assert quantum_int(2) == LaurentPolyZ({1: 1, -1: 1})
-    # Evaluation commutes with symbolic construction.
+    # [m] = q^(1-m) (1 + q^2 + ... + q^(2m-2)) as a pair (shift, coefficients).
     field = cyclotomic_field(5)
     for m in range(7):
-        assert quantum_int(m).evaluate(field.q) == quantum_int(m, field.q)
+        assert field.from_q_poly(1 - m, [1] * m) == quantum_int(m, field.q)
+    with pytest.raises(ValueError):
+        quantum_int(-1, field.q)
 
 
 def test_quantum_int_level4_values():
@@ -102,56 +115,56 @@ def test_quantum_int_level4_values():
     assert quantum_int(3, field.q) == field.one
 
 
-def test_quantum_factorial():
-    assert quantum_factorial(0) == LaurentPolyZ.one()
-    assert quantum_factorial(2) == LaurentPolyZ({1: 1, -1: 1})
+def test_q_factorial_is_a_hook_quotient():
+    assert _q_factorial(0) == (0, [1])
+    assert _q_factorial(2) == (-1, [1, 1])
+    assert _q_factorial(3) == (-3, [1, 2, 2, 1])
     field = cyclotomic_field(4)
-    value = quantum_factorial(3).evaluate(field.q)
+    value = field.from_q_poly(*_q_factorial(3))
     assert not value.is_zero()
     assert value == -field.delta  # [1][2][3] at level 4 is 1 * (-sqrt 2) * 1
 
 
-def test_laurent_divexact_roundtrip():
-    a = quantum_factorial(5)
-    b = quantum_int(3) * quantum_int(4)
-    assert (a * b).divexact(b) == a
-    with pytest.raises(ArithmeticError):
-        (quantum_int(2) + LaurentPolyZ.one()).divexact(quantum_int(3))
+def test_poly_divexact_roundtrip():
+    a = _q_factorial(5)[1]
+    b = _poly_mul([1, 1, 1], [1, 1, 1, 1])  # [3][4] without its power of q
+    assert poly_divexact(_poly_mul(a, b), b) == a
+    assert poly_divexact(_poly_mul(a, b), a) == b
+    c, d = [2, 0, -5, 0, 0, 0, 0, 7], [3, 0, 1, -1]
+    assert poly_divexact(_poly_mul(c, d), d) == c
+    assert poly_divexact([0, 0, 6], [0, -3]) == [0, -2]
+    assert poly_divexact([0, 0], d) == []
 
 
-def test_laurent_divexact_with_negative_exponents():
-    a = LaurentPolyZ({-3: 2, -1: -5, 4: 7})
-    b = LaurentPolyZ({-2: 3, 0: 1, 1: -1})
-    assert (a * b).divexact(b) == a
-    assert (a * b).divexact(a) == b
-    assert LaurentPolyZ({-7: 6}).divexact(LaurentPolyZ({-2: -3})) == LaurentPolyZ({-5: -2})
-    assert LaurentPolyZ().divexact(b) == LaurentPolyZ()
+def test_poly_divexact_raises_unless_exact():
+    # Raises, not asserts: this test is also run under python -O.
+    d = [3, 0, 1, -1]
+    product = _poly_mul([2, 0, -5, 0, 0, 0, 0, 7], d)
     for num, den in (
-        (a * b + LaurentPolyZ({-5: 1}), b),  # a nonzero remainder
-        (LaurentPolyZ({-4: 3, -2: 1}), LaurentPolyZ({-1: 2})),  # 3/2 is not an integer
-        (LaurentPolyZ({-1: 1}), b),  # fewer terms than the divisor
+        ([v + (k == 2) for k, v in enumerate(product)], d),  # a nonzero remainder
+        ([0, 3], [0, 2]),  # 3/2 is not an integer
+        ([1], d),  # fewer terms than the divisor
+        ([2, 1, 1], [1, 1, 1]),  # the same length, not a multiple
     ):
         with pytest.raises(ArithmeticError):
-            num.divexact(den)
-    with pytest.raises(ZeroDivisionError):
-        a.divexact(LaurentPolyZ())
+            poly_divexact(num, den)
+    for zero in ([], [0], [1, 0]):
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(product, zero)
 
 
 @given(st.data())
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_laurent_evaluation_is_ring_homomorphism(data):
+    # from_q_poly sends q^s P(q^2) to the field: sums and products commute.
     level = data.draw(st.sampled_from((4, 5, 6)))
     field = cyclotomic_field(level)
-
-    def poly(draw):
-        return LaurentPolyZ(
-            {draw(st.integers(-4, 4)): draw(st.integers(-5, 5)) for _ in range(3)}
-        )
-
-    a, b = poly(data.draw), poly(data.draw)
-    x = field.q
-    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
-    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+    coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=5)
+    sa, sb = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    total = [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+    assert field.from_q_poly(sa, a) + field.from_q_poly(sa, b) == field.from_q_poly(sa, total)
+    assert field.from_q_poly(sa, a) * field.from_q_poly(sb, b) == field.from_q_poly(sa + sb, _poly_mul(a, b))
 
 
 @given(st.data())
@@ -290,9 +303,10 @@ def test_packing_checks_hold_under_python_O():
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
-        (Path(__file__).resolve(), "kronecker or inverse or norm"),
+        (Path(__file__).resolve(), "kronecker or inverse or norm or divexact"),
         (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails"),
         (root / "tests" / "test_basis.py", "unreached"),
+        (root / "tests" / "test_diagram.py", "hook_poly_raises"),
     ):
         result = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -303,36 +317,32 @@ def test_packing_checks_hold_under_python_O():
         assert " passed" in result.stdout
 
 
-@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("level", INVERSE_LEVELS)
 def test_laurent_evaluate_matches_per_term_powers(level, monkeypatch):
     field = cyclotomic_field(level)
     rng = random.Random(level)
-    polys = [quantum_factorial(5), quantum_int(4) * quantum_int(7), LaurentPolyZ.one(), LaurentPolyZ()]
+    polys = [_q_factorial(5), (-9, _poly_mul([1] * 4, [1] * 7)), (0, [1]), (3, []), (-2, [0, 0])]
     polys += [
-        LaurentPolyZ({rng.randint(-9, 9): rng.randint(-(2**70), 2**70) for _ in range(6)})
+        (rng.randint(-9, 9), [rng.randint(-(2**70), 2**70) for _ in range(rng.randint(1, 8))])
         for _ in range(10)
     ]
-    points = (field.q, field.zeta, field.delta, field.from_coeffs(7, list(range(1, field.degree + 1))))
-    expected = [[laurent_evaluate(p, x) for x in points] for p in polys]
+    expected = [q_poly_by_powers(field, shift, coeffs) for shift, coeffs in polys]
     calls = []
-    real = exactnum.CycNum.inverse
 
-    def counted(self):
-        calls.append(self)
-        return real(self)
+    def counted(name):
+        real = getattr(exactnum.CycNum, name)
+        return lambda *args: calls.append(name) or real(*args)
 
-    monkeypatch.setattr(exactnum.CycNum, "inverse", counted)
-    for p, row in zip(polys, expected):
-        for x, value in zip(points, row):
-            del calls[:]
-            assert p.evaluate(x) == value
-            # x is inverted at most once, and only when a negative power occurs.
-            assert len(calls) == (1 if any(e < 0 for e in p.coeffs) else 0)
+    for name in ("__mul__", "__rmul__", "__pow__", "inverse"):
+        monkeypatch.setattr(exactnum.CycNum, name, counted(name))
+    for (shift, coeffs), value in zip(polys, expected):
+        assert field.from_q_poly(shift, coeffs) == value
+    # The table rows are summed in integers: no CycNum product, power or inverse.
+    assert calls == []
 
 
 # The Galois-norm inverse, the zeta-power table and the mod-p image.
 
-INVERSE_LEVELS = tuple(range(3, 13))
 
 
 def _random_cycnums(field, rng, count):
