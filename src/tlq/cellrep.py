@@ -5,8 +5,10 @@ classification checks for the semisimple quotient.  ``CellVector`` is a
 :func:`tlq.exactnum.packed_products`.
 
 The dimension of the simple head L_t is *defined* computationally as the
-rank of the cell Gram matrix, found by exact Gaussian elimination over
-Q(zeta_{2l}); the representation-theoretic formulas are cross-checks
+rank of the cell Gram matrix, found by exact elimination over Q(zeta_{2l})
+on integer coefficient planes gathered from the exponent table
+(:func:`tlq.exactnum.plane_rank`: int64 under a checked bound, Python
+integers past it); the representation-theoretic formulas are cross-checks
 computed by independent routes.
 """
 
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Mapping
+
+import numpy as np
 
 from .diagram import (
     Diagram,
@@ -30,6 +34,7 @@ from .exactnum import (
     LinComb,
     cyclotomic_field,
     packed_products,
+    plane_rank,
     powers,
 )
 from .tlalg import TLElement, embedded_jones_wenzl
@@ -139,8 +144,17 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
 @lru_cache(maxsize=None)
 def simple_dim_rank(t: int, n: int, level: int) -> int:
     """dim L_t(n) as the rank of the cell Gram matrix, by exact elimination
-    over Q(zeta_{2l}); exact elimination is its own certificate."""
-    return gram_matrix(t, n, level).rank()
+    over Q(zeta_{2l}); exact elimination is its own certificate.
+
+    The Gram planes are gathered straight from the exponent table: delta is
+    an algebraic integer, so the coefficient rows of delta^0 .. delta^k (and
+    a zero row, read at exponent -1) are integral."""
+    if t not in admissible_t(n):
+        raise ValueError("t is not admissible for n")
+    field = cyclotomic_field(level)
+    pw = powers(field.delta, (n - t) // 2)
+    table = np.array([c.num for c in pw] + [field.zero.num], dtype=np.int64)
+    return plane_rank(field, table[diagram_basis(t, n).cell_exponents])
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = inspect.signature(suite).parameters
     flags = {"order": args.K, "level": args.level, "seed": args.seed}
     if args.max_n is not None:
+        if args.max_n < 0:
+            raise ValueError("--max-n must be non-negative")
         flags["max_n"] = min(args.max_n, 8) if args.suite == "radical" else args.max_n
     report = suite(**{k: v for k, v in flags.items() if k in params})
     _emit(report, "json", args.out)

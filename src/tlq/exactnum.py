@@ -18,6 +18,8 @@ polynomial product and sum.
 ``LinComb`` is the one linear-combination type (elements of TL_n, cell
 vectors, Clifford blades): it owns sums, scalar multiples and comparisons,
 and ``packed_products`` is the one packed product loop over pairs of terms.
+Exact rank (``plane_rank``) eliminates on integer coefficient planes: int64
+while a bound checked before each update stays below 2^62, Python integers after.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -32,7 +34,11 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Collection, Hashable, Mapping, Sequence
 
+import numpy as np
+
 from ._intlinalg import root_of_unity
+
+_INT64_SAFE = 2**62  # plane_rank's int64 bound
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +106,10 @@ class CyclotomicField:
             prev = pows[-1]
             pows.append(tuple(a - prev[-1] * m for a, m in zip((0,) + prev[:-1], self.modulus)))
         self._zeta_powers = tuple(pows)
+        # _mult[i, j] = zeta^(i+j); a product of coefficient rows x, y is one
+        # contraction with it, each value at most max|x| max|y| _mult_bound.
+        self._mult = np.array([pows[i : i + d] for i in range(d)], dtype=np.int64)
+        self._mult_bound = int(np.abs(self._mult).sum(axis=(0, 1)).max())
         # x^(d+k) mod Phi for k = 0 .. d-2 (d <= l, so the table holds them),
         # kept as their nonzero (index, coefficient) entries.
         self._red = tuple(
@@ -633,38 +643,58 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination, first-nonzero pivoting."""
-        return _eliminate_rank([list(r) for r in self.rows], self.ncols)
+        """Exact rank by :func:`plane_rank`, each row over its own denominator."""
+        planes = np.array([_common_numerators(r)[1] for r in self.rows], dtype=object)
+        planes = planes.reshape(self.nrows, self.ncols, self.field.degree)
+        if _maxabs(planes) < _INT64_SAFE:
+            planes = planes.astype(np.int64)
+        return plane_rank(self.field, planes)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols}, level={self.field.level})"
 
 
-def _eliminate_rank(rows: list[list[CycNum]], ncols: int) -> int:
-    rank = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivrow = rows[rank]
-        inv = pivrow[col].inverse()
-        for i in range(rank + 1, nrows):
-            entry = rows[i][col]
-            if entry:
-                factor = entry * inv
-                row = rows[i]
-                for j in range(col, ncols):
-                    if pivrow[j]:
-                        row[j] = row[j] - factor * pivrow[j]
-        rank += 1
-        if rank == nrows:
+def _maxabs(x: np.ndarray) -> int:
+    """The largest absolute coefficient, at least 1 (so a bound keeps both factors)."""
+    return int(np.abs(x).max(initial=1))
+
+
+def _plane_products(field: CyclotomicField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[i, j] = x[i] * y[j] for coefficient rows x (k, d) and y (c, d)."""
+    return y @ np.tensordot(x, field._mult, axes=(1, 0))
+
+
+def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:
+    """Exact rank of integer coefficient planes (entry (i, j) over row i's own
+    denominator, which does not change the rank).
+
+    Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): with
+    pivot * R = N an integer (the Galois norm of :meth:`CycNum.inverse`), a
+    row with entry e in the pivot column becomes N * row - (e * R) * pivrow
+    over its content.  int64 while a bound on the update is below 2^62,
+    Python integers from the first update where it is not."""
+    a, rank = planes, 0
+    while a.size:
+        nz = a.any(axis=2)
+        cols = np.flatnonzero(nz.any(axis=0))
+        if not cols.size:
             break
+        col, hit = cols[0], nz[:, cols[0]]
+        piv, *others = np.flatnonzero(hit)
+        rank += 1
+        new = a[:0, col + 1 :]
+        if others:
+            inv = CycNum(field, 1, tuple(map(int, a[piv, col]))).inverse()
+            factor = np.array([inv.num], dtype=object)
+            e = _plane_products(field, a[others, col].astype(object), factor)[:, 0]
+            bound = inv.den * _maxabs(a[others, col + 1 :])
+            if bound + _maxabs(e) * _maxabs(a[piv, col + 1 :]) * field._mult_bound >= _INT64_SAFE:
+                a = a.astype(object)
+            new = inv.den * a[others, col + 1 :]
+            new -= _plane_products(field, e.astype(a.dtype), a[piv, col + 1 :])
+            g = np.gcd.reduce(new.reshape(len(new), -1), axis=1)
+            new = new[g != 0] // g[g != 0, None, None]
+        a = np.concatenate((a[~hit, col + 1 :], new))
     return rank
 
 

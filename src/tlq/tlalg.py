@@ -382,18 +382,6 @@ def ideal_dimension(level: int, n: int) -> int:
     return radical_split(level, n).ideal_dim
 
 
-def _ideal_dimension_exact(level: int, n: int) -> int:
-    """dim <E_{l-1}> by exact elimination of every product a E b over the
-    diagram basis; the test reference for :func:`ideal_dimension`."""
-    basis = tl_basis(n)
-    units = [TLElement.from_diagram(d, level) for d in basis]
-    ej = embedded_jones_wenzl(level, n)
-    right = [ej * b for b in units]
-    products = dict.fromkeys(a * eb for a in units for eb in right)
-    rows = [[x.coefficient(d) for d in basis] for x in products if x]
-    return ExactMatrix(ej.field, rows).rank() if rows else 0
-
-
 def trace_gram_rank(level: int, n: int) -> int:
     """Rank of the Jones trace form on TL_n (exactly).
 

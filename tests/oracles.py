@@ -23,9 +23,17 @@ from tlq.diagram import (
     identity_pairing,
     monic_pairings,
     star_pairing,
+    tl_basis,
     tl_pairings,
 )
-from tlq.exactnum import CycNum, CyclotomicField, KroneckerPacking, cyclotomic_field, powers
+from tlq.exactnum import (
+    CycNum,
+    CyclotomicField,
+    ExactMatrix,
+    KroneckerPacking,
+    cyclotomic_field,
+    powers,
+)
 from tlq.tlalg import TLElement
 
 
@@ -150,6 +158,18 @@ def markov_trace(x: TLElement) -> CycNum:
     for d, c in x.terms.items():
         total = total + c * pw[closure_loops(n, d.pairing)]
     return total * dinv_n
+
+
+def ideal_dimension_exact(level: int, n: int) -> int:
+    """dim <E_{l-1}> by exact elimination of every product a E b over the
+    diagram basis; the reference for :func:`tlq.tlalg.ideal_dimension`."""
+    basis = tl_basis(n)
+    units = [TLElement.from_diagram(d, level) for d in basis]
+    ej = tlalg.embedded_jones_wenzl(level, n)
+    right = [ej * b for b in units]
+    products = dict.fromkeys(a * eb for a in units for eb in right)
+    rows = [[x.coefficient(d) for d in basis] for x in products if x]
+    return ExactMatrix(ej.field, rows).rank() if rows else 0
 
 
 def q_poly_by_powers(field: CyclotomicField, shift: int, coeffs: list[int]) -> CycNum:

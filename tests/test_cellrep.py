@@ -21,7 +21,7 @@ from tlq.cellrep import (
 )
 from tlq.combinatorics import w_dim
 from tlq.diagram import Diagram, enumerate_monic
-from tlq.exactnum import cyclotomic_field
+from tlq.exactnum import cyclotomic_field, rank_by_columns
 from tlq.tlalg import TLElement, embedded_jones_wenzl, generator
 
 
@@ -37,6 +37,17 @@ def test_gram_examples():
     for i in range(3):
         for j in range(3):
             assert g24.rows[i][j] == g24.rows[j][i]
+
+
+@pytest.mark.parametrize("level", (3, 4, 5, 6, 7, 8))
+def test_gathered_planes_match_the_cycnum_gram_route(level):
+    # simple_dim_rank gathers integer planes from the exponent table; the
+    # per-entry elimination of the CycNum Gram matrix must give the same rank.
+    for n in range(9):
+        for t in admissible_t(n):
+            assert simple_dim_rank(t, n, level) == rank_by_columns(gram_matrix(t, n, level)), (n, t)
+    with pytest.raises(ValueError):
+        simple_dim_rank(1, 4, level)
 
 
 def test_cell_action_module_axioms():

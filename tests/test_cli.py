@@ -220,6 +220,17 @@ def test_negative_n_is_a_usage_error(capsys, argv, n):
 
 
 @pytest.mark.parametrize(
+    "argv", [("radical", "--level", "3", "--max-n", "-2"), ("gram", "--level", "5", "--max-n", "-1")]
+)
+def test_verify_negative_max_n_is_a_usage_error(capsys, argv):
+    # A suite given no n to check must not report a vacuous pass.
+    assert cli.main(["verify", *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv", [("dims", "--level", "4", "--n", "3..4"), ("verify", "q3", "--max-n", "4")]
 )
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):

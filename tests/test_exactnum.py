@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from tlq.exactnum import (
     cyclotomic_field,
     cyclotomic_polynomial,
     mod_p_image,
+    plane_rank,
     poly_divexact,
     quantum_int,
     rank_by_columns,
@@ -228,6 +230,63 @@ def test_rank_pivot_order_and_transpose_invariance(data):
     assert r == m.transpose().rank()
 
 
+def _random_matrix(field, rng, nrows, ncols):
+    """A matrix with denominators, zero entries and columns, and rows that
+    are combinations of earlier rows."""
+
+    def value(dens, top):
+        return field.from_coeffs(rng.choice(dens), [rng.randint(-top, top) for _ in range(field.degree)])
+
+    zero_cols = {j for j in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.4:
+            coeffs = [value((1, 2, 5), 3) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero) for j in range(ncols)])
+        else:
+            rows.append([
+                field.zero if j in zero_cols or rng.random() < 0.3 else value((1, 1, 2, 6, 35), 9)
+                for j in range(ncols)
+            ])
+    return ExactMatrix(field, rows)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_plane_rank_matches_rank_by_columns(level):
+    field = cyclotomic_field(level)
+    rng = random.Random(100 + level)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(14)]
+    for nrows, ncols in shapes:
+        m = _random_matrix(field, rng, nrows, ncols)
+        ranks = {m.rank(), rank_by_columns(m), m.transpose().rank()}
+        # Raises, not asserts: this test is also run under python -O.
+        if len(ranks) != 1:
+            raise AssertionError((nrows, ncols, ranks))
+
+
+@pytest.mark.parametrize("level", (5, 8))
+def test_plane_rank_promotes_past_the_int64_bound(level):
+    # Entries near 2^40: the first pivot's norm times an entry already
+    # passes the int64 bound, so the update runs on Python integers.
+    field = cyclotomic_field(level)
+    rng = random.Random(level)
+    big = lambda: field.from_coeffs(1, [rng.randint(2**40 - 99, 2**40) for _ in range(field.degree)])
+    rows = [[big() for _ in range(4)] for _ in range(3)]
+    rows.insert(2, [a - b * field.zeta for a, b in zip(rows[0], rows[1])])
+    # Determinant 2^64: an update that wrapped modulo 2^64 would find rank 1.
+    wrap = [[field.from_int(2**32), field.one], [field.from_int(2**32), field.from_int(2**32 + 1)]]
+    # Raises, not asserts: this test is also run under python -O.
+    if rows[0][0].inverse().den * 2**40 < 2**62:
+        raise AssertionError("the first update fits int64")
+    for matrix, want in ((rows, 3), (wrap, 2)):
+        planes = np.array([[c.num for c in row] for row in matrix], dtype=np.int64)
+        m = ExactMatrix(field, matrix)
+        ranks = (m.rank(), plane_rank(field, planes), rank_by_columns(m))
+        if ranks != (want,) * 3:
+            raise AssertionError(ranks)
+
+
 def test_certified_int_rank_against_fractions():
     import numpy as np
 
@@ -303,7 +362,7 @@ def test_packing_checks_hold_under_python_O():
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
-        (Path(__file__).resolve(), "kronecker or inverse or norm or divexact"),
+        (Path(__file__).resolve(), "kronecker or inverse or norm or divexact or plane_rank"),
         (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails"),
         (root / "tests" / "test_basis.py", "unreached"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),

@@ -7,14 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import markov_trace, tl_product
+from oracles import ideal_dimension_exact, markov_trace, tl_product
 from tlq import _intlinalg, diagram, tlalg
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
 from tlq.exactnum import cyclotomic_field, mod_p_image
 from tlq.tlalg import (
     TLElement,
-    _ideal_dimension_exact,
     embed,
     embedded_jones_wenzl,
     generator,
@@ -212,16 +211,16 @@ def test_star_antiautomorphism():
 def test_ideal_dimension_small_values():
     # At n = level-1 = 3 the idempotent spans the one-dimensional top cell
     # block of semisimple TL_3; frozen as a regression anchor.
-    assert _ideal_dimension_exact(4, 3) == 1
-    assert _ideal_dimension_exact(4, 4) == catalan(4) - 8
-    assert _ideal_dimension_exact(5, 4) == 14 - 13
+    assert ideal_dimension_exact(4, 3) == 1
+    assert ideal_dimension_exact(4, 4) == catalan(4) - 8
+    assert ideal_dimension_exact(5, 4) == 14 - 13
     with pytest.raises(ValueError):
         ideal_dimension(4, 2)
 
 
 def test_ideal_dimension_methods_agree():
     for level, n in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
-        assert _ideal_dimension_exact(level, n) == ideal_dimension(level, n)
+        assert ideal_dimension_exact(level, n) == ideal_dimension(level, n)
 
 
 def test_generator_map_fibers_hold_at_most_n_diagrams():
