@@ -2,6 +2,8 @@
 """Emit the multi-route dimension tables for levels 3..6 as markdown.
 
 Usage: python scripts/dimension_tables.py [max_n] [outdir]
+
+A route past its reach (``tlq.verify.REACH``) shows as None.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def main() -> int:
                 "--level",
                 str(level),
                 "--n",
-                f"{max(2, level - 1)}..{min(max_n, 8)}",
+                f"{max(2, level - 1)}..{max_n}",
                 "--format",
                 "markdown",
                 "--out",

@@ -101,9 +101,11 @@ def _emit(payload: dict[str, Any], fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args: argparse.Namespace, rows: list[dict[str, Any]], computed: bool) -> int:
-    """Emit a table of rows with an ``agree`` flag and return the exit code."""
-    _emit({"meta": _meta(args.level), "rows": rows}, args.format, args.out)
+def _emit_table(
+    rows: list[dict[str, Any]], computed: bool, level: int, fmt: str, out: str | None
+) -> int:
+    """Emit rows with an ``agree`` flag; exit 3 when no route reached a row."""
+    _emit({"meta": _meta(level), "rows": rows}, fmt, out)
     if not computed:
         return EXIT_RESOURCE
     return EXIT_OK if all(row["agree"] for row in rows) else EXIT_DISAGREE
@@ -119,7 +121,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown route {r!r}")
     rows = []
     for n in range(lo, hi + 1):
-        dims, dimq = verify.routes_at(args.level, n, routes, args.max_rank_n)
+        dims, dimq = verify.routes_at(args.level, n, routes)
         for t in cellrep.quotient_labels(args.level, n):
             at_t = {route: table[t] for route, table in dims.items() if table is not None}
             row: dict[str, Any] = {"n": n, "t": t, "w": w_dim(t, n)}
@@ -131,14 +133,14 @@ def cmd_dims(args: argparse.Namespace) -> int:
             row["agree"] = verify.agree(at_t) and verify.agree(dimq)
             rows.append(row)
     computed = routes != ("rank",) or any(row["l_rank"] is not None for row in rows)
-    return _emit_table(args, rows, computed)
+    return _emit_table(rows, computed, args.level, args.format, args.out)
 
 
 def cmd_jw(args: argparse.Namespace) -> int:
-    if catalan(args.level - 1) > args.max_terms:
+    if args.level - 1 > verify.REACH["jw"]:
         sys.stderr.write(
             f"E_{args.level - 1} has {catalan(args.level - 1)} diagram terms; "
-            f"cap is {args.max_terms}\n"
+            f"the reach is E_{verify.REACH['jw']}\n"
         )
         return EXIT_RESOURCE
     e = tlalg.jones_wenzl(args.level).element
@@ -169,7 +171,7 @@ def cmd_gram_rank(args: argparse.Namespace) -> int:
         raise ValueError(f"t = {args.t} is admissible for no n in {args.n}")
     rows = []
     for n in ns:
-        if n > args.max_rank_n:
+        if n > verify.REACH["rank" if args.kind == "cell" else "sandwich"]:
             continue
         if args.kind == "cell":
             rows.extend(
@@ -181,31 +183,23 @@ def cmd_gram_rank(args: argparse.Namespace) -> int:
         rank = tlalg.trace_gram_rank(args.level, n)
         row = {"n": n, "dim": catalan(n), "rank": rank}
         if n >= args.level - 1:
-            ideal = tlalg.ideal_dimension(args.level, n)
-            row["ideal_dim"] = ideal
-            row["agree"] = rank == catalan(n) - ideal
-        else:
-            row["agree"] = rank == catalan(n)
+            row["ideal_dim"] = tlalg.ideal_dimension(args.level, n)
+        row["agree"] = rank == catalan(n) - row.get("ideal_dim", 0)
         rows.append(row)
-    return _emit_table(args, rows, computed=bool(rows))
+    return _emit_table(rows, bool(rows), args.level, args.format, args.out)
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     lo, hi = _parse_n_range(args.n)
     rows = []
     for n in range(lo, hi + 1):
-        _, dimq = verify.routes_at(
-            args.level,
-            n,
-            ("altsum", "matrix", "closed", "ideal"),
-            args.max_rank_n,
-            max_ideal_n=args.max_rank_n,
-        )
+        _, dimq = verify.routes_at(args.level, n, ("altsum", "matrix", "closed", "ideal"))
         row = {"n": n, "catalan": catalan(n)}
         row.update({f"dimQ_{route}": v for route, v in dimq.items()})
         row["agree"] = verify.agree(dimq)
         rows.append(row)
-    return _emit_table(args, rows, computed=any(row["dimQ_ideal"] is not None for row in rows))
+    computed = any(row["dimQ_ideal"] is not None for row in rows)
+    return _emit_table(rows, computed, args.level, args.format, args.out)
 
 
 def cmd_clifford_check(args: argparse.Namespace) -> int:
@@ -240,14 +234,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     # A flag goes to each suite whose signature takes it; without --max-n each
-    # suite keeps its own default.
+    # suite keeps its own default.  Each suite stops its routes at their reach.
     params = inspect.signature(suite).parameters
     flags = {"order": args.K, "level": args.level, "seed": args.seed}
     if args.max_n is not None:
         if args.max_n < 0:
             raise ValueError("--max-n must be non-negative")
-        flags["max_n"] = min(args.max_n, 8) if args.suite == "radical" else args.max_n
+        flags["max_n"] = args.max_n
     report = suite(**{k: v for k, v in flags.items() if k in params})
+    if not report["checks"]:
+        raise ValueError(f"suite {args.suite!r} has no checks up to --max-n {args.max_n}")
     _emit(report, "json", args.out)
     return EXIT_OK if report["passed"] else EXIT_DISAGREE
 
@@ -263,8 +259,6 @@ def build_parser() -> _Parser:
             p.add_argument("--n", type=str, required=True, help="strand range a..b")
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
         p.add_argument("--out", type=str, default=None, help="write output to a file")
-        p.add_argument("--max-rank-n", type=int, default=12, dest="max_rank_n")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dims", help="cell and simple dimension tables, multi-route")
     add_common(p, nrange=True)
@@ -273,7 +267,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("jw", help="print the Jones-Wenzl idempotent and its checks")
     add_common(p)
-    p.add_argument("--max-terms", type=int, default=2000, dest="max_terms")
     p.set_defaults(func=cmd_jw)
 
     p = sub.add_parser("gram-rank", help="Gram matrix ranks (cell or trace form)")
@@ -288,6 +281,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("clifford-check", help="level-4 Clifford verification block")
     add_common(p, level=False, nrange=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_clifford_check)
 
     p = sub.add_parser("catalan", help="generating-function identity checks")

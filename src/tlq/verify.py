@@ -2,9 +2,11 @@
 
 ``routes_at`` is the one place that knows the routes to dim L_t(n) and
 dim Q_n(l) (Gram ranks, alternating sums, recursion matrices, closed forms,
-the ideal generated by E) and where each one reaches; ``agree`` is the rule
-the routes must satisfy.  ``jw_checks`` and ``cell_rank_row`` are the
-Jones-Wenzl and cell-rank checks that the CLI shares with the suites.
+the ideal generated by E); ``REACH`` is the one place that knows how far in
+n each costly route is run, for the CLI, the suites and library callers
+alike; ``agree`` is the rule the routes must satisfy.  ``jw_checks`` and
+``cell_rank_row`` are the Jones-Wenzl and cell-rank checks that the CLI
+shares with the suites.
 
 Each suite reruns one block of the headline claims by at least two
 independent computational routes and returns a machine-readable report:
@@ -26,7 +28,7 @@ from .exactnum import CycNum, ExactMatrix, cyclotomic_field, rank_by_columns
 def _report(suite: str, checks: list[dict[str, Any]], started: float) -> dict[str, Any]:
     return {
         "suite": suite,
-        "passed": all(c["pass"] for c in checks),
+        "passed": bool(checks) and all(c["pass"] for c in checks),
         "checks": checks,
         "elapsed_s": round(time.perf_counter() - started, 3),
     }
@@ -40,12 +42,15 @@ def _check(name: str, ok: bool, detail: str = "") -> dict[str, Any]:
 # Dimension routes and shared checks (also drive the CLI)
 # ---------------------------------------------------------------------------
 
+# The largest n at which each costly route is run; past it the route is
+# skipped (None) and never started.  "rank": the exact cell Gram rank;
+# "sandwich": radical_split, hence the ideal route and the trace-form rank
+# (the exact one below level - 1 too); "jw": E_{l-1}, counted by l - 1.
+REACH = {"rank": 12, "sandwich": 8, "jw": 8}
+
+
 def routes_at(
-    level: int,
-    n: int,
-    routes: tuple[str, ...],
-    max_rank_n: int,
-    max_ideal_n: int = 8,
+    level: int, n: int, routes: tuple[str, ...]
 ) -> tuple[dict[str, dict[int, int] | None], dict[str, int | None]]:
     """Simple dimensions and dim Q_n(level) by each requested route.
 
@@ -54,12 +59,12 @@ def routes_at(
     route does not reach (level, n), including where it raises ValueError.
     For rank, altsum and matrix, dimq is the sum of squares of the route's
     dims; "closed" has independent closed forms for both; "ideal" gives only
-    dimq, as C(n) - dim<E>, for level - 1 <= n <= max_ideal_n.
+    dimq, as C(n) - dim<E>, for level - 1 <= n <= REACH["sandwich"].
     """
     labels = cellrep.quotient_labels(level, n)
     tables: dict[str, Callable[[], Any]] = {
         "rank": lambda: {t: cellrep.simple_dim_rank(t, n, level) for t in labels}
-        if n <= max_rank_n
+        if n <= REACH["rank"]
         else None,
         "altsum": lambda: {t: cellrep.simple_dim_altsum(t, n, level) for t in labels},
         "matrix": lambda: quotientdim.dims_by_matrix(level, n),
@@ -69,7 +74,7 @@ def routes_at(
     totals: dict[str, Callable[[], Any]] = {
         "closed": lambda: quotientdim.dim_q_closed(level, n),
         "ideal": lambda: catalan(n) - tlalg.ideal_dimension(level, n)
-        if level - 1 <= n <= max_ideal_n
+        if level - 1 <= n <= REACH["sandwich"]
         else None,
     }
 
@@ -212,14 +217,14 @@ def jw_suite(levels: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> dict[str, Any]:
     return _report("jw", checks, t0)
 
 
-def ising_suite(max_n: int = 12, max_rank_n: int = 12) -> dict[str, Any]:
+def ising_suite(max_n: int = 12) -> dict[str, Any]:
     """Level-4 simple dimensions are the power-of-two pattern and the
     quotient dimension is 2^(n-1), by Gram ranks."""
     t0 = time.perf_counter()
     checks = []
     for n in range(3, max_n + 1):
         # The closed route is the pattern l_t = 2^(n/2-1) or 2^((n-1)/2), dim Q_n = 2^(n-1).
-        dims, dimq = routes_at(4, n, ("rank", "altsum", "closed"), max_rank_n)
+        dims, dimq = routes_at(4, n, ("rank", "altsum", "closed"))
         ok = agree(dims) and agree(dimq)
         shown = dims["rank"] if dims["rank"] is not None else dims["altsum"]
         detail = ", ".join(f"l_{t}={v}" for t, v in sorted(shown.items()))
@@ -292,13 +297,13 @@ def clifford_suite(max_n: int = 8, seed: int = 0, full_pairs_n: int = 6) -> dict
     return _report("clifford", checks, t0)
 
 
-def fibonacci_suite(max_n: int = 12, bridge_n: int = 15, max_rank_n: int = 12) -> dict[str, Any]:
+def fibonacci_suite(max_n: int = 12, bridge_n: int = 15) -> dict[str, Any]:
     """Level 5: dim Q_n = F_{2n-1} by every enabled route, plus the
     matrix-power bridge identities."""
     t0 = time.perf_counter()
     checks = []
     for n in range(4, max_n + 1):
-        _, dimq = routes_at(5, n, ("rank", "altsum", "matrix", "closed", "ideal"), max_rank_n)
+        _, dimq = routes_at(5, n, ("rank", "altsum", "matrix", "closed", "ideal"))
         want = fibonacci(2 * n - 1)
         ok = all(v == want for v in dimq.values() if v is not None)
         checks.append(
@@ -319,13 +324,13 @@ def fibonacci_suite(max_n: int = 12, bridge_n: int = 15, max_rank_n: int = 12) -
     return _report("fibonacci", checks, t0)
 
 
-def level6_suite(max_n: int = 10, max_rank_n: int = 10) -> dict[str, Any]:
+def level6_suite(max_n: int = 10) -> dict[str, Any]:
     """Level 6: the (3^m +- 1)/2 simple-dimension patterns and the quotient
     dimension (3^(n-1)+1)/2."""
     t0 = time.perf_counter()
     checks = []
     for n in range(2, max_n + 1):
-        dims, dimq = routes_at(6, n, ("rank", "altsum", "matrix", "closed"), max_rank_n)
+        dims, dimq = routes_at(6, n, ("rank", "altsum", "matrix", "closed"))
         checks.append(
             _check(
                 f"n={n}: simple dimensions match the 3-power pattern",
@@ -344,6 +349,7 @@ def radical_suite(levels: tuple[int, ...] = (4, 5, 6), max_n: int = 8) -> dict[s
     dimensions; nondegenerate exactly when n <= level - 2."""
     t0 = time.perf_counter()
     checks = []
+    max_n = min(max_n, REACH["sandwich"])
     for level in levels:
         for n in range(2, min(level - 1, max_n + 1)):
             rank = tlalg.trace_gram_rank(level, n)
@@ -399,7 +405,7 @@ def q3_suite(max_n: int = 8) -> dict[str, Any]:
     """The level-3 quotient is one dimensional, by the ideal route."""
     t0 = time.perf_counter()
     checks = []
-    for n in range(2, max_n + 1):
+    for n in range(2, min(max_n, REACH["sandwich"]) + 1):
         dim = catalan(n) - tlalg.ideal_dimension(3, n)
         checks.append(_check(f"n={n}: dim Q_n(3) = 1", dim == 1, f"got {dim}"))
     return _report("q3", checks, t0)
@@ -410,7 +416,7 @@ def gram_suite(level: int = 5, max_n: int = 8) -> dict[str, Any]:
     composition-factor bookkeeping, over all admissible labels."""
     t0 = time.perf_counter()
     checks = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, REACH["rank"]) + 1):
         ok = True
         detail = ""
         for t in cellrep.admissible_t(n):

@@ -65,7 +65,7 @@ def test_criterion_04_ising_dimensions():
     """Level 4 for n = 3..12: Gram-rank dimensions are the power-of-two
     pattern and the squares sum to 2^(n-1)."""
     t0 = time.perf_counter()
-    report = verify.ising_suite(max_n=12, max_rank_n=12)
+    report = verify.ising_suite(max_n=12)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 4 (Ising pattern, n <= 12)", report["passed"], t0, 300, str(failed))
 
@@ -83,7 +83,7 @@ def test_criterion_06_fibonacci():
     """Level 5 for n = 4..12: dim Q_n(5) = F_{2n-1} by every enabled route,
     plus the matrix bridge identities through n = 15."""
     t0 = time.perf_counter()
-    report = verify.fibonacci_suite(max_n=12, bridge_n=15, max_rank_n=12)
+    report = verify.fibonacci_suite(max_n=12, bridge_n=15)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 6 (Fibonacci, n <= 12)", report["passed"], t0, 120, str(failed))
 
@@ -92,7 +92,7 @@ def test_criterion_07_level6():
     """Level 6 for n = 2..10: the (3^m +- 1)/2 patterns and
     dim Q_n(6) = (3^(n-1)+1)/2."""
     t0 = time.perf_counter()
-    report = verify.level6_suite(max_n=10, max_rank_n=10)
+    report = verify.level6_suite(max_n=10)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 7 (level 6, n <= 10)", report["passed"], t0, 120, str(failed))
 

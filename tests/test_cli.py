@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib.util
+import inspect
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from tlq import cli
+from tlq import cli, tlalg, verify
+from tlq.combinatorics import catalan
+from tlq.quotientdim import dim_q_closed
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -40,8 +45,8 @@ def test_dims_json_schema_and_roundtrip(capsys):
 
 
 def test_dims_deterministic(capsys):
-    _, out1 = run(capsys, "dims", "--level", "5", "--n", "4..6", "--seed", "3")
-    _, out2 = run(capsys, "dims", "--level", "5", "--n", "4..6", "--seed", "3")
+    _, out1 = run(capsys, "dims", "--level", "5", "--n", "4..6")
+    _, out2 = run(capsys, "dims", "--level", "5", "--n", "4..6")
     assert out1 == out2
 
 
@@ -98,7 +103,7 @@ def test_gram_rank_cell_and_trace(capsys):
 
 
 def test_quotient_command(capsys):
-    code, out = run(capsys, "quotient", "--level", "3", "--n", "2..5", "--max-rank-n", "6")
+    code, out = run(capsys, "quotient", "--level", "3", "--n", "2..5")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert all(r["dimQ_ideal"] == 1 for r in rows)
@@ -277,8 +282,68 @@ def test_usage_errors(capsys):
 
 
 def test_resource_cap_exit(capsys):
-    assert cli.main(["jw", "--level", "9", "--max-terms", "100"]) == cli.EXIT_RESOURCE
+    assert cli.main(["jw", "--level", "10"]) == cli.EXIT_RESOURCE
     capsys.readouterr()
+
+
+@pytest.fixture
+def sandwich_stub(monkeypatch):
+    """The mod-p sandwich, stood in for by the closed forms; the test fails
+    if the sandwich is started past n = 8, where it takes minutes and GBs."""
+
+    def radical_split(level, n):
+        if n > 8:
+            pytest.fail(f"radical_split({level}, {n}) started past the sandwich reach")
+        dim = dim_q_closed(level, n)
+        return tlalg.RadicalSplit(level, n, dim, catalan(n) - dim)
+
+    monkeypatch.setattr(tlalg, "radical_split", radical_split)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("quotient", "--level", "5", "--n", "9..9"), ("gram-rank", "--level", "4", "--n", "9..9", "--kind", "trace")],
+)
+def test_sandwich_past_its_reach_exits_3(capsys, sandwich_stub, argv):
+    code, _ = run(capsys, *argv)
+    assert code == cli.EXIT_RESOURCE
+
+
+def test_quotient_ideal_column_stops_at_the_reach(capsys, monkeypatch):
+    monkeypatch.setitem(verify.REACH, "sandwich", 6)
+    code, out = run(capsys, "quotient", "--level", "5", "--n", "5..7")
+    assert code == 0
+    assert [r["dimQ_ideal"] for r in json.loads(out)["rows"]] == [34, 89, None]
+
+
+def test_verify_suites_stop_at_the_sandwich_reach(capsys, sandwich_stub):
+    for suite in ("q3", "radical"):
+        code, out = run(capsys, "verify", suite, "--max-n", "12")
+        assert code == 0
+        ns = [int(re.search(r"n=(\d+)", c["name"]).group(1)) for c in json.loads(out)["checks"]]
+        assert max(ns) == 8, suite
+
+
+@pytest.mark.parametrize(
+    "argv", [("q3", "--max-n", "1"), ("radical", "--max-n", "1"), ("gram", "--max-n", "0"), ("ising", "--max-n", "2")]
+)
+def test_verify_with_no_checks_is_a_usage_error(capsys, argv):
+    # A report that checks nothing does not pass.
+    assert cli.main(["verify", *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert verify.SUITES[argv[0]](max_n=int(argv[2]))["passed"] is False
+
+
+def test_every_option_is_read_by_its_handler():
+    # No option that its command ignores.
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.option_strings)
 
 
 def test_disagreement_exit(monkeypatch, capsys):

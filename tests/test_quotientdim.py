@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from tlq import verify
 from tlq.cellrep import quotient_labels, simple_dim_rank
 from tlq.combinatorics import catalan, fibonacci, w_dim
 from tlq.quotientdim import (
@@ -116,7 +117,7 @@ def test_dim_q_routes_and_closed_forms():
         assert dim_q(6, n) == (3 ** (n - 1) + 1) // 2
         for level in (4, 5, 6):
             assert dim_q(level, n) == dim_q(level, n, "quadratic")
-            assert dim_q(level, n) == routes_at(level, n, ("altsum",), 0)[1]["altsum"]
+            assert dim_q(level, n) == routes_at(level, n, ("altsum",))[1]["altsum"]
             assert dim_q(level, n) == dim_q_closed(level, n)
     assert dim_q_closed(3, 9) == 1
     with pytest.raises(ValueError):
@@ -178,15 +179,14 @@ def test_one_step_recurrence_on_altsum_tables():
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
-def test_routes_at_agree_and_reach(level):
-    max_rank_n, max_ideal_n = 7, 6
+def test_routes_at_agree_and_reach(monkeypatch, level):
+    monkeypatch.setitem(verify.REACH, "rank", 7)
+    monkeypatch.setitem(verify.REACH, "sandwich", 6)
     for n in range(0, 9):
-        dims, dimq = routes_at(
-            level, n, ("rank", "altsum", "matrix", "closed", "ideal"), max_rank_n, max_ideal_n
-        )
+        dims, dimq = routes_at(level, n, ("rank", "altsum", "matrix", "closed", "ideal"))
         assert agree(dims) and agree(dimq), (n, dims, dimq)
         reach = {
-            "rank": n <= max_rank_n,
+            "rank": n <= 7,
             "altsum": True,
             "matrix": level >= 4 and n >= level - 3,
             "closed": level in (4, 5, 6) and n >= (2 if level == 5 else 1),
@@ -194,5 +194,5 @@ def test_routes_at_agree_and_reach(level):
         }
         assert {r: v is not None for r, v in dims.items()} == reach, n
         reach["closed"] = n >= (2 if level == 6 else 1)
-        reach["ideal"] = level - 1 <= n <= max_ideal_n
+        reach["ideal"] = level - 1 <= n <= 6
         assert {r: v is not None for r, v in dimq.items()} == reach, n
