@@ -1,6 +1,19 @@
-"""Certified exact rank computations for integer matrices.
+"""Exact linear algebra over GF(p), and the working primes.
 
-The exact logic is one-sided bounds that must meet:
+All GF(p) work goes through one Gauss-Jordan routine, :func:`_gauss_jordan`.
+The engine uses two routes built on it: ``ModpEchelon``, the incremental
+reduced row echelon form behind the mod-p sandwich of ``tlalg`` (the ideal
+generated by E and the rank of the trace form), and
+``modp_rank_with_pivots``, behind the dimension of the Clifford image.
+numpy float64 is used purely as an exact integer carrier, as in
+FFLAS-FFPACK: every intermediate value is kept below 2**53 by construction,
+and the bounds that depend on the input are checked with explicit raises,
+which ``python -O`` keeps.
+
+The second half, a certified integer rank (``dixon_solve``,
+``verify_product_identity``, ``certified_rank``), is called by no engine
+route.  It stays only because the benchmark tracer, ``tlqbench/tracer.py``,
+resolves its names.  Its exact logic is one-sided bounds that must meet:
 
 * rank mod p is always an exact *lower* bound for the rank over Q (a nonzero
   r x r minor mod p is the image of a nonzero integer minor under the ring
@@ -11,12 +24,7 @@ The exact logic is one-sided bounds that must meet:
   combined modulus exceeds a rigorous magnitude bound.
 
 If the two bounds do not meet (an unlucky prime), the computation retries
-with the next prime; it never returns an unverified answer.  All GF(p) work
-goes through one Gauss-Jordan routine, :func:`_gauss_jordan`.  numpy float64
-is used purely as an exact integer carrier, as in FFLAS-FFPACK: every
-intermediate value is kept below 2**53 by construction, and the bounds that
-depend on the input are checked with explicit raises, which ``python -O``
-keeps.
+with the next prime; it never returns an unverified answer.
 """
 
 from __future__ import annotations
@@ -204,7 +212,7 @@ def _modp_inverse(s: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dixon lifting and certified rank
+# Dixon lifting and certified rank (no engine caller; see the module docstring)
 # ---------------------------------------------------------------------------
 
 

@@ -203,21 +203,19 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_clifford_check(args: argparse.Namespace) -> int:
-    n_range = _parse_n_range(args.n)
-    report = verify.clifford_suite(max_n=n_range[1], seed=args.seed)
-    report["checks"] = [
-        c for c in report["checks"] if _check_min_n(c["name"], n_range[0])
-    ]
-    report["passed"] = all(c["pass"] for c in report["checks"])
-    _emit({"meta": _meta(4), "rows": report["checks"], "suite": report["suite"]},
-          args.format, args.out)
+    """The Clifford suite's checks for n in --n.  The suite runs from n = 3,
+    since its sampled pairs come from one seeded stream, and the exit code
+    is its verdict on every check it ran."""
+    lo, hi = _parse_n_range(args.n)
+    if lo > verify.REACH["clifford"]:
+        sys.stderr.write(f"n = {lo} is past the Clifford reach n = {verify.REACH['clifford']}\n")
+        return EXIT_RESOURCE
+    report = verify.clifford_suite(max_n=hi, seed=args.seed)
+    rows = [c for c in report["checks"] if int(c["name"][2:].split(":", 1)[0]) >= lo]
+    if not rows:
+        raise ValueError(f"the Clifford checks start at n = 3; --n {args.n} has none")
+    _emit({"meta": _meta(4), "rows": rows, "suite": report["suite"]}, args.format, args.out)
     return EXIT_OK if report["passed"] else EXIT_DISAGREE
-
-
-def _check_min_n(name: str, min_n: int) -> bool:
-    if not name.startswith("n="):
-        return True
-    return int(name[2:].split(":", 1)[0]) >= min_n
 
 
 def cmd_catalan(args: argparse.Namespace) -> int:
@@ -233,15 +231,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}\n"
         )
         return EXIT_USAGE
-    # A flag goes to each suite whose signature takes it; without --max-n each
-    # suite keeps its own default.  Each suite stops its routes at their reach.
+    if args.max_n is not None and args.max_n < 0:
+        raise ValueError("--max-n must be non-negative")
+    # Only the flags given are passed, so each suite keeps its own defaults;
+    # a flag the suite does not take is refused.  Each suite stops its
+    # routes at their reach.
     params = inspect.signature(suite).parameters
-    flags = {"order": args.K, "level": args.level, "seed": args.seed}
-    if args.max_n is not None:
-        if args.max_n < 0:
-            raise ValueError("--max-n must be non-negative")
-        flags["max_n"] = args.max_n
-    report = suite(**{k: v for k, v in flags.items() if k in params})
+    names = {"--level": "level", "--max-n": "max_n", "--K": "order", "--seed": "seed"}
+    given = {"--level": args.level, "--max-n": args.max_n, "--K": args.K, "--seed": args.seed}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    refused = [flag for flag in given if names[flag] not in params]
+    if refused:
+        taken = [flag for flag, name in names.items() if name in params] + ["--out"]
+        raise ValueError(f"suite {args.suite!r} takes only {', '.join(taken)}; not {', '.join(refused)}")
+    report = suite(**{names[flag]: value for flag, value in given.items()})
     if not report["checks"]:
         raise ValueError(f"suite {args.suite!r} has no checks up to --max-n {args.max_n}")
     _emit(report, "json", args.out)
@@ -291,10 +294,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", type=str)
-    p.add_argument("--level", type=int, default=5)
+    p.add_argument("--level", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--K", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_verify)
 

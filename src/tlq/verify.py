@@ -9,29 +9,23 @@ alike; ``agree`` is the rule the routes must satisfy.  ``jw_checks`` and
 shares with the suites.
 
 Each suite reruns one block of the headline claims by at least two
-independent computational routes and returns a machine-readable report:
-``{"suite": name, "passed": bool, "checks": [{"name", "pass", "detail"}]}``.
-The CLI ``verify`` subcommand and the acceptance tests both drive these.
+independent computational routes.  A suite is written as a generator of
+checks; the runner ``_suite`` registers it in ``SUITES`` and builds its
+machine-readable report, ``{"suite": name, "passed": bool, "checks":
+[{"name", "pass", "detail"}], "elapsed_s": seconds}``, in one place.  The
+CLI ``verify`` subcommand and the acceptance tests both drive these.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import cellrep, clifford, combinatorics, diagram, quotientdim, tlalg
 from .combinatorics import catalan, fibonacci, w_dim
 from .exactnum import CycNum, ExactMatrix, cyclotomic_field, rank_by_columns
-
-
-def _report(suite: str, checks: list[dict[str, Any]], started: float) -> dict[str, Any]:
-    return {
-        "suite": suite,
-        "passed": bool(checks) and all(c["pass"] for c in checks),
-        "checks": checks,
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict[str, Any]:
@@ -45,8 +39,10 @@ def _check(name: str, ok: bool, detail: str = "") -> dict[str, Any]:
 # The largest n at which each costly route is run; past it the route is
 # skipped (None) and never started.  "rank": the exact cell Gram rank;
 # "sandwich": radical_split, hence the ideal route and the trace-form rank
-# (the exact one below level - 1 too); "jw": E_{l-1}, counted by l - 1.
-REACH = {"rank": 12, "sandwich": 8, "jw": 8}
+# (the exact one below level - 1 too); "jw": E_{l-1}, counted by l - 1;
+# "clifford": the Clifford suite, whose phi table takes 0.9 s and 41 MB at
+# n = 8 but 35 s and 570 MB at n = 10 (2-core x86-64, Python 3.11).
+REACH = {"rank": 12, "sandwich": 8, "jw": 8, "clifford": 8}
 
 
 def routes_at(
@@ -136,28 +132,52 @@ def cell_rank_row(t: int, n: int, level: int) -> dict[str, Any]:
 # Suites
 # ---------------------------------------------------------------------------
 
+Checks = Iterator[dict[str, Any]]
+SUITES: dict[str, Callable[..., dict[str, Any]]] = {}
 
-def catalan_suite(order: int = 12, max_points: int = 16) -> dict[str, Any]:
+
+def _suite(checks: Callable[..., Checks]) -> Callable[..., dict[str, Any]]:
+    """The suite runner: registers ``<name>_suite`` in ``SUITES`` as
+    ``name``, with the signature of its check generator, and builds its
+    report.  A report passes when it has at least one check and every check
+    passes."""
+    name = checks.__name__.removesuffix("_suite")
+
+    @functools.wraps(checks)
+    def run(*args: Any, **kwargs: Any) -> dict[str, Any]:
+        started = time.perf_counter()
+        done = list(checks(*args, **kwargs))
+        return {
+            "suite": name,
+            "passed": bool(done) and all(c["pass"] for c in done),
+            "checks": done,
+            "elapsed_s": round(time.perf_counter() - started, 3),
+        }
+
+    SUITES[name] = run
+    return run
+
+
+@_suite
+def catalan_suite(order: int = 12) -> Checks:
     """Diagram counts vs closed forms, plus the generating-function block."""
-    t0 = time.perf_counter()
-    checks = []
     ok = True
     bad = ""
-    for total in range(0, max_points + 1, 2):
+    for total in range(0, 17, 2):
         for t in range(total % 2, total + 1, 2):
             k = (total - t) // 2
             counted = len(diagram.diagram_basis(t, total).pairings)
             if not (counted == combinatorics.w_recursive(t, k) == combinatorics.F_closed(t, k)):
                 ok = False
                 bad = f"(t={t}, k={k})"
-    checks.append(_check("enumeration = recursion = closed form", ok, bad or f"all t+2k <= {max_points}"))
+    yield _check("enumeration = recursion = closed form", ok, bad or "all t+2k <= 16")
     ok = all(
         combinatorics.F_closed(t, k + 1)
         == combinatorics.F_closed(t - 1, k + 1) + combinatorics.F_closed(t + 1, k)
         for t in range(31)
         for k in range(31)
     )
-    checks.append(_check("binomial lattice recursion", ok, "0 <= t,k <= 30"))
+    yield _check("binomial lattice recursion", ok, "0 <= t,k <= 30")
     ok = True
     try:
         for t in range(61):
@@ -165,80 +185,68 @@ def catalan_suite(order: int = 12, max_points: int = 16) -> dict[str, Any]:
                 combinatorics.F_closed(t, k)
     except ArithmeticError:
         ok = False
-    checks.append(_check("closed form integrality", ok, "0 <= t,k <= 60"))
+    yield _check("closed form integrality", ok, "0 <= t,k <= 60")
     ok = all(
         combinatorics.catalan(n) == combinatorics.catalan_by_convolution(n)
         for n in range(21)
     )
-    checks.append(_check("catalan closed form = convolution", ok, "n <= 20"))
+    yield _check("catalan closed form = convolution", ok, "n <= 20")
     series = combinatorics.series_identities(order)
     for name, passed in series.items():
-        checks.append(_check(f"series: {name}", passed, f"order {order}"))
-    checks.append(
-        _check(
-            "two-step cell recursion",
-            combinatorics.two_step_recursion_check(16, 16),
-            "t, n <= 16",
-        )
+        yield _check(f"series: {name}", passed, f"order {order}")
+    yield _check(
+        "two-step cell recursion",
+        combinatorics.two_step_recursion_check(16, 16),
+        "t, n <= 16",
     )
-    return _report("catalan", checks, t0)
 
 
-def jw_suite(levels: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> dict[str, Any]:
+@_suite
+def jw_suite(levels: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> Checks:
     """Closed-formula Jones-Wenzl idempotents against all their defining
     properties and the recursion oracle."""
-    t0 = time.perf_counter()
-    checks = []
     for level in levels:
         props = all(jw_checks(level).values())
-        checks.append(_check(f"level {level}: idempotent properties", props))
-        checks.append(
-            _check(
-                f"level {level}: matches recursion oracle",
-                tlalg.jones_wenzl(level).element == tlalg.jones_wenzl_by_recursion(level),
-            )
+        yield _check(f"level {level}: idempotent properties", props)
+        yield _check(
+            f"level {level}: matches recursion oracle",
+            tlalg.jones_wenzl(level).element == tlalg.jones_wenzl_by_recursion(level),
         )
     if 3 in levels:
         e2 = tlalg.jones_wenzl(3).element
         expected = tlalg.TLElement.one(2, 3) - tlalg.generator(2, 1, 3)
-        checks.append(_check("level 3: E_2 = 1 - f_1 verbatim", e2 == expected))
+        yield _check("level 3: E_2 = 1 - f_1 verbatim", e2 == expected)
     if 4 in levels:
         f = cyclotomic_field(4)
         f1, f2 = tlalg.generator(3, 1, 4), tlalg.generator(3, 2, 4)
         expected = (
             tlalg.TLElement.one(3, 4) + f1 * f2 + f2 * f1 - f.delta * (f1 + f2)
         )
-        checks.append(
-            _check(
-                "level 4: E_3 = 1 + f1f2 + f2f1 - sqrt(2)(f1+f2) verbatim",
-                tlalg.jones_wenzl(4).element == expected,
-            )
+        yield _check(
+            "level 4: E_3 = 1 + f1f2 + f2f1 - sqrt(2)(f1+f2) verbatim",
+            tlalg.jones_wenzl(4).element == expected,
         )
-    return _report("jw", checks, t0)
 
 
-def ising_suite(max_n: int = 12) -> dict[str, Any]:
+@_suite
+def ising_suite(max_n: int = 12) -> Checks:
     """Level-4 simple dimensions are the power-of-two pattern and the
     quotient dimension is 2^(n-1), by Gram ranks."""
-    t0 = time.perf_counter()
-    checks = []
     for n in range(3, max_n + 1):
         # The closed route is the pattern l_t = 2^(n/2-1) or 2^((n-1)/2), dim Q_n = 2^(n-1).
         dims, dimq = routes_at(4, n, ("rank", "altsum", "closed"))
         ok = agree(dims) and agree(dimq)
         shown = dims["rank"] if dims["rank"] is not None else dims["altsum"]
         detail = ", ".join(f"l_{t}={v}" for t, v in sorted(shown.items()))
-        checks.append(_check(f"n={n}: dims and sum of squares", ok, detail))
-    return _report("ising", checks, t0)
+        yield _check(f"n={n}: dims and sum of squares", ok, detail)
 
 
-def clifford_suite(max_n: int = 8, seed: int = 0, full_pairs_n: int = 6) -> dict[str, Any]:
+@_suite
+def clifford_suite(max_n: int = 8, seed: int = 0) -> Checks:
     """The level-4 homomorphism onto the even Clifford algebra."""
-    t0 = time.perf_counter()
-    checks = []
     field = cyclotomic_field(4)
     rng = random.Random(seed or 0xC11F)
-    for n in range(3, max_n + 1):
+    for n in range(3, min(max_n, REACH["clifford"]) + 1):
         fs = [clifford.phi_generator(n, j) for j in range(1, n)]
         rel = all(f * f == field.delta * f for f in fs)
         rel = rel and all(
@@ -250,11 +258,12 @@ def clifford_suite(max_n: int = 8, seed: int = 0, full_pairs_n: int = 6) -> dict
             for i in range(n - 1)
             for j in range(i + 2, n - 1)
         )
-        checks.append(_check(f"n={n}: generator images satisfy the relations", rel))
+        yield _check(f"n={n}: generator images satisfy the relations", rel)
         ej = tlalg.embedded_jones_wenzl(4, n)
-        checks.append(_check(f"n={n}: phi(E_3 embedded) = 0", clifford.phi(ej).is_zero()))
+        yield _check(f"n={n}: phi(E_3 embedded) = 0", clifford.phi(ej).is_zero())
         basis = diagram.tl_basis(n)
-        if n <= full_pairs_n:
+        exhaustive = n <= 6
+        if exhaustive:
             pairs = [(a, b) for a in basis for b in basis]
         else:
             pairs = [
@@ -267,16 +276,16 @@ def clifford_suite(max_n: int = 8, seed: int = 0, full_pairs_n: int = 6) -> dict
             if not clifford.phi(x).is_zero():
                 ok = False
                 break
-        scope = "all pairs" if n <= full_pairs_n else "200 sampled pairs"
-        checks.append(_check(f"n={n}: phi(a E b) = 0 ({scope})", ok))
+        scope = "all pairs" if exhaustive else "200 sampled pairs"
+        yield _check(f"n={n}: phi(a E b) = 0 ({scope})", ok)
         dim = clifford.image_dimension(n)
-        checks.append(_check(f"n={n}: image dimension = 2^(n-1)", dim == 2 ** (n - 1), f"dim={dim}"))
+        yield _check(f"n={n}: image dimension = 2^(n-1)", dim == 2 ** (n - 1), f"dim={dim}")
         ok = all(
             tlalg.jones_trace(tlalg.TLElement.from_diagram(d, 4))
             == clifford.constant_term_trace(clifford.phi(tlalg.TLElement.from_diagram(d, 4)))
             for d in basis
         )
-        checks.append(_check(f"n={n}: trace correspondence on the diagram basis", ok))
+        yield _check(f"n={n}: trace correspondence on the diagram basis", ok)
         ok = True
         for _ in range(100):
             a = basis[rng.randrange(len(basis))]
@@ -286,79 +295,67 @@ def clifford_suite(max_n: int = 8, seed: int = 0, full_pairs_n: int = 6) -> dict
             if clifford.phi(xa * xb) != clifford.phi(xa) * clifford.phi(xb):
                 ok = False
                 break
-        checks.append(_check(f"n={n}: homomorphism property on 100 random pairs", ok))
+        yield _check(f"n={n}: homomorphism property on 100 random pairs", ok)
         rep = clifford.so_commutator_report(n)
-        checks.append(
-            _check(
-                f"n={n}: so(n) commutators",
-                rep["omega_is_gamma_pair"] and rep["commutator_relations"],
-            )
+        yield _check(
+            f"n={n}: so(n) commutators",
+            rep["omega_is_gamma_pair"] and rep["commutator_relations"],
         )
-    return _report("clifford", checks, t0)
 
 
-def fibonacci_suite(max_n: int = 12, bridge_n: int = 15) -> dict[str, Any]:
+@_suite
+def fibonacci_suite(max_n: int = 12) -> Checks:
     """Level 5: dim Q_n = F_{2n-1} by every enabled route, plus the
     matrix-power bridge identities."""
-    t0 = time.perf_counter()
-    checks = []
     for n in range(4, max_n + 1):
         _, dimq = routes_at(5, n, ("rank", "altsum", "matrix", "closed", "ideal"))
         want = fibonacci(2 * n - 1)
         ok = all(v == want for v in dimq.values() if v is not None)
-        checks.append(
-            _check(
-                f"n={n}: dim Q_n(5) = F_{2*n-1} by all routes",
-                ok,
-                f"want {want}, got {dimq}",
-            )
+        yield _check(
+            f"n={n}: dim Q_n(5) = F_{2*n-1} by all routes",
+            ok,
+            f"want {want}, got {dimq}",
         )
+    if max_n < 4:  # the bridge backs the dim Q_n checks; alone it checks none
+        return
     ok = True
-    for n in range(1, bridge_n + 1):
+    for n in range(1, 16):
         a, b = quotientdim.fibonacci_bridge(n)
         if (a, b) != (fibonacci(2 * n), fibonacci(2 * n - 1)):
             ok = False
         if quotientdim.fibonacci_bridge(2 * n)[1] != a * a + b * b:
             ok = False
-    checks.append(_check("bridge identities a_n = F_2n, b_n = F_2n-1, a^2+b^2 = b_2n", ok, f"n <= {bridge_n}"))
-    return _report("fibonacci", checks, t0)
+    yield _check("bridge identities a_n = F_2n, b_n = F_2n-1, a^2+b^2 = b_2n", ok, "n <= 15")
 
 
-def level6_suite(max_n: int = 10) -> dict[str, Any]:
+@_suite
+def level6_suite(max_n: int = 10) -> Checks:
     """Level 6: the (3^m +- 1)/2 simple-dimension patterns and the quotient
     dimension (3^(n-1)+1)/2."""
-    t0 = time.perf_counter()
-    checks = []
     for n in range(2, max_n + 1):
         dims, dimq = routes_at(6, n, ("rank", "altsum", "matrix", "closed"))
-        checks.append(
-            _check(
-                f"n={n}: simple dimensions match the 3-power pattern",
-                agree(dims),
-                ", ".join(f"l_{t}={v}" for t, v in sorted(dims["closed"].items())),
-            )
+        yield _check(
+            f"n={n}: simple dimensions match the 3-power pattern",
+            agree(dims),
+            ", ".join(f"l_{t}={v}" for t, v in sorted(dims["closed"].items())),
         )
         want_q = (3 ** (n - 1) + 1) // 2
         ok = all(v == want_q for v in dimq.values() if v is not None)
-        checks.append(_check(f"n={n}: dim Q_n(6) = (3^(n-1)+1)/2", ok, f"want {want_q}, got {dimq}"))
-    return _report("level6", checks, t0)
+        yield _check(f"n={n}: dim Q_n(6) = (3^(n-1)+1)/2", ok, f"want {want_q}, got {dimq}")
 
 
-def radical_suite(levels: tuple[int, ...] = (4, 5, 6), max_n: int = 8) -> dict[str, Any]:
+@_suite
+def radical_suite(max_n: int = 8) -> Checks:
     """Rank of the trace form = dim TL_n - dim<E> = sum of squared simple
     dimensions; nondegenerate exactly when n <= level - 2."""
-    t0 = time.perf_counter()
-    checks = []
     max_n = min(max_n, REACH["sandwich"])
-    for level in levels:
+    for level in (4, 5, 6):
         for n in range(2, min(level - 1, max_n + 1)):
             rank = tlalg.trace_gram_rank(level, n)
-            checks.append(
-                _check(
-                    f"level {level}, n={n}: trace form nondegenerate",
-                    rank == catalan(n),
-                    f"rank {rank} of {catalan(n)}",
-                )
+            yield _check(
+                f"level {level}, n={n}: trace form nondegenerate",
+                rank == catalan(n),
+                f"rank {rank} of {catalan(n)}",
             )
         for n in range(level - 1, max_n + 1):
             split = tlalg.radical_split(level, n)
@@ -370,52 +367,43 @@ def radical_suite(levels: tuple[int, ...] = (4, 5, 6), max_n: int = 8) -> dict[s
                 split.gram_rank == catalan(n) - split.ideal_dim == square_sum
                 and split.gram_rank < catalan(n)
             )
-            checks.append(
-                _check(
-                    f"level {level}, n={n}: rank(G) = C(n) - dim<E> = sum l_t^2",
-                    ok,
-                    f"rank={split.gram_rank}, ideal={split.ideal_dim}, squares={square_sum}",
-                )
+            yield _check(
+                f"level {level}, n={n}: rank(G) = C(n) - dim<E> = sum l_t^2",
+                ok,
+                f"rank={split.gram_rank}, ideal={split.ideal_dim}, squares={square_sum}",
             )
-    return _report("radical", checks, t0)
 
 
-def classification_suite(
-    levels: tuple[int, ...] = (4, 5, 6), max_n: int = 10
-) -> dict[str, Any]:
+@_suite
+def classification_suite(max_n: int = 10) -> Checks:
     """E maps W_t into the radical of the cell form exactly when t <= l-2."""
-    t0 = time.perf_counter()
-    checks = []
-    for level in levels:
+    for level in (4, 5, 6):
+        ns = range(level - 1, max_n + 1)
+        if not ns:
+            continue
         ok = True
         bad = ""
-        for n in range(level - 1, max_n + 1):
+        for n in ns:
             for t in cellrep.admissible_t(n):
                 got = cellrep.annihilation_check(t, n, level)
                 if got != (t <= level - 2):
                     ok = False
                     bad = f"(t={t}, n={n})"
-        checks.append(
-            _check(f"level {level}: annihilation iff t <= {level - 2}", ok, bad or f"n <= {max_n}")
-        )
-    return _report("classification", checks, t0)
+        yield _check(f"level {level}: annihilation iff t <= {level - 2}", ok, bad or f"n <= {max_n}")
 
 
-def q3_suite(max_n: int = 8) -> dict[str, Any]:
+@_suite
+def q3_suite(max_n: int = 8) -> Checks:
     """The level-3 quotient is one dimensional, by the ideal route."""
-    t0 = time.perf_counter()
-    checks = []
     for n in range(2, min(max_n, REACH["sandwich"]) + 1):
         dim = catalan(n) - tlalg.ideal_dimension(3, n)
-        checks.append(_check(f"n={n}: dim Q_n(3) = 1", dim == 1, f"got {dim}"))
-    return _report("q3", checks, t0)
+        yield _check(f"n={n}: dim Q_n(3) = 1", dim == 1, f"got {dim}")
 
 
-def gram_suite(level: int = 5, max_n: int = 8) -> dict[str, Any]:
+@_suite
+def gram_suite(level: int = 5, max_n: int = 8) -> Checks:
     """Gram-rank simple dimensions against the alternating-sum route and the
     composition-factor bookkeeping, over all admissible labels."""
-    t0 = time.perf_counter()
-    checks = []
     for n in range(1, min(max_n, REACH["rank"]) + 1):
         ok = True
         detail = ""
@@ -436,15 +424,14 @@ def gram_suite(level: int = 5, max_n: int = 8) -> dict[str, Any]:
             elif w_dim(t, n) != rank:
                 ok = False
                 detail = f"t={t}: w != l_t (simple cell)"
-        checks.append(_check(f"n={n}: rank = altsum and factor split", ok, detail))
-    return _report("gram", checks, t0)
+        yield _check(f"n={n}: rank = altsum and factor split", ok, detail)
 
 
-def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
+@_suite
+def properties_suite(seed: int = 0) -> Checks:
     """Randomized algebraic property checks with a fixed seed."""
-    t0 = time.perf_counter()
+    cases = 200
     rng = random.Random(seed or 0xA11CE)
-    checks = []
 
     def random_cyc(level: int) -> CycNum:
         field = cyclotomic_field(level)
@@ -462,7 +449,7 @@ def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
             ok = False
         if (a * b) * c != a * (b * c):
             ok = False
-    checks.append(_check("field axioms", ok, f"{cases} cases"))
+    yield _check("field axioms", ok, f"{cases} cases")
 
     def random_diagram(src: int, dst: int) -> diagram.Diagram:
         # Any planar (src, dst)-diagram is a flat pairing re-read at the cut.
@@ -487,7 +474,7 @@ def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
         sab, l_s = diagram.compose(diagram.star(b), diagram.star(a))
         if sab != diagram.star(ab) or l_s != l_ab:
             ok = False
-    checks.append(_check("diagram composition associativity, loop additivity, star anti-map", ok, f"{cases} cases"))
+    yield _check("diagram composition associativity, loop additivity, star anti-map", ok, f"{cases} cases")
 
     ok = True
     for _ in range(cases):
@@ -507,7 +494,7 @@ def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
             ok = False
         if tlalg.jones_trace(x * y) != tlalg.jones_trace(y * x):
             ok = False
-    checks.append(_check("TL product associativity and trace symmetry", ok, f"{cases} cases"))
+    yield _check("TL product associativity and trace symmetry", ok, f"{cases} cases")
 
     ok = True
     field4 = cyclotomic_field(4)
@@ -524,10 +511,10 @@ def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
         a, b, c = rand_blade(), rand_blade(), rand_blade()
         if (a * b) * c != a * (b * c):
             ok = False
-    checks.append(_check("blade product associativity", ok, f"{cases} cases"))
+    yield _check("blade product associativity", ok, f"{cases} cases")
 
     ok = True
-    for _ in range(max(40, cases // 5)):
+    for _ in range(40):
         level = rng.choice((3, 4, 5))
         field = cyclotomic_field(level)
         rows = rng.randint(1, 5)
@@ -538,20 +525,4 @@ def properties_suite(seed: int = 0, cases: int = 200) -> dict[str, Any]:
         )
         if m.rank() != rank_by_columns(m):
             ok = False
-    checks.append(_check("rank is pivot-order independent", ok, "two independent eliminations"))
-    return _report("properties", checks, t0)
-
-
-SUITES: dict[str, Callable[..., dict[str, Any]]] = {
-    "catalan": catalan_suite,
-    "jw": jw_suite,
-    "ising": ising_suite,
-    "clifford": clifford_suite,
-    "fibonacci": fibonacci_suite,
-    "level6": level6_suite,
-    "radical": radical_suite,
-    "classification": classification_suite,
-    "q3": q3_suite,
-    "gram": gram_suite,
-    "properties": properties_suite,
-}
+    yield _check("rank is pivot-order independent", ok, "two independent eliminations")

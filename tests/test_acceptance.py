@@ -83,7 +83,7 @@ def test_criterion_06_fibonacci():
     """Level 5 for n = 4..12: dim Q_n(5) = F_{2n-1} by every enabled route,
     plus the matrix bridge identities through n = 15."""
     t0 = time.perf_counter()
-    report = verify.fibonacci_suite(max_n=12, bridge_n=15)
+    report = verify.fibonacci_suite(max_n=12)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 6 (Fibonacci, n <= 12)", report["passed"], t0, 120, str(failed))
 
@@ -102,7 +102,7 @@ def test_criterion_08_radical_identity():
     C(n) - dim<E> equals the sum of squared simple dimensions, and the form
     is nondegenerate exactly when n <= level-2."""
     t0 = time.perf_counter()
-    report = verify.radical_suite(levels=(4, 5, 6), max_n=8)
+    report = verify.radical_suite(max_n=8)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 8 (radical identity, n <= 8)", report["passed"], t0, 600, str(failed))
 
@@ -111,7 +111,7 @@ def test_criterion_09_classification():
     """Annihilation of the cell module by the idempotent happens exactly for
     t <= level-2, for levels 4, 5, 6 and n <= 10."""
     t0 = time.perf_counter()
-    report = verify.classification_suite(levels=(4, 5, 6), max_n=10)
+    report = verify.classification_suite(max_n=10)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 9 (classification, n <= 10)", report["passed"], t0, 120, str(failed))
 
@@ -129,6 +129,6 @@ def test_criterion_11_property_suites():
     associativity of diagram/blade/TL products, trace symmetry, rank
     pivot-order independence; at least 200 cases each."""
     t0 = time.perf_counter()
-    report = verify.properties_suite(seed=2025, cases=200)
+    report = verify.properties_suite(seed=2025)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     _finish("criterion 11 (property suites)", report["passed"], t0, 300, str(failed))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib.util
 import inspect
 import io
@@ -325,7 +326,17 @@ def test_verify_suites_stop_at_the_sandwich_reach(capsys, sandwich_stub):
 
 
 @pytest.mark.parametrize(
-    "argv", [("q3", "--max-n", "1"), ("radical", "--max-n", "1"), ("gram", "--max-n", "0"), ("ising", "--max-n", "2")]
+    "argv",
+    [
+        ("q3", "--max-n", "1"),
+        ("radical", "--max-n", "1"),
+        ("gram", "--max-n", "0"),
+        ("ising", "--max-n", "2"),
+        ("classification", "--max-n", "0"),
+        ("clifford", "--max-n", "2"),
+        ("fibonacci", "--max-n", "3"),
+        ("level6", "--max-n", "1"),
+    ],
 )
 def test_verify_with_no_checks_is_a_usage_error(capsys, argv):
     # A report that checks nothing does not pass.
@@ -333,6 +344,52 @@ def test_verify_with_no_checks_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert verify.SUITES[argv[0]](max_n=int(argv[2]))["passed"] is False
+
+
+def test_classification_checks_only_levels_with_an_n():
+    report = verify.classification_suite(max_n=3)
+    assert [c["name"] for c in report["checks"]] == ["level 4: annihilation iff t <= 2"]
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (("radical", "--level", "3", "--max-n", "4"), ["--max-n"]),
+        (("q3", "--level", "7", "--max-n", "3"), ["--max-n"]),
+        (("ising", "--K", "5"), ["--max-n"]),
+        (("jw", "--max-n", "5"), []),
+        (("properties", "--max-n", "3"), ["--seed"]),
+    ],
+)
+def test_verify_refuses_a_flag_its_suite_does_not_take(capsys, monkeypatch, argv, taken):
+    suite = verify.SUITES[argv[0]]
+
+    @functools.wraps(suite)
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"suite {argv[0]} ran despite a flag it does not take")
+
+    monkeypatch.setitem(verify.SUITES, argv[0], must_not_run)
+    assert cli.main(["verify", *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    named = re.findall(r"--[\w-]+", captured.err.split(";")[0])
+    assert named == [*taken, "--out"]
+
+
+def test_clifford_check_with_no_checks_is_a_usage_error(capsys):
+    assert cli.main(["clifford-check", "--n", "0..2"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_clifford_stops_at_its_reach(capsys, monkeypatch):
+    monkeypatch.setitem(verify.REACH, "clifford", 4)
+    code, out = run(capsys, "clifford-check", "--n", "3..6")
+    assert code == 0
+    ns = {int(r["name"][2:].split(":")[0]) for r in json.loads(out)["rows"]}
+    assert ns == {3, 4}
+    code, out = run(capsys, "clifford-check", "--n", "5..6")
+    assert code == cli.EXIT_RESOURCE and out == ""
 
 
 def test_every_option_is_read_by_its_handler():
