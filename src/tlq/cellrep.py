@@ -94,7 +94,7 @@ def cell_action(x: TLElement, v: CellVector) -> CellVector:
         v.terms,
         powers(v.field.delta, (n - t) // 2),
         x.terms,
-        combine,
+        [[combine(dv, dx) for dx in x.terms] for dv in v.terms],
     )
     return v._like({Diagram._trusted(t, n, pr): c for pr, c in products.items()})
 
@@ -125,13 +125,14 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
         hit = compose_pairings(t, n, t, dw.pairing, sv)
         return hit if hit[0] == ident else None
 
+    stars = {star_pairing(t + n, d.pairing): c for d, c in v.terms.items()}
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of w.
     products = packed_products(
         v.field,
-        {star_pairing(t + n, d.pairing): c for d, c in v.terms.items()},
+        stars,
         powers(v.field.delta, (n - t) // 2),
         w.terms,
-        combine,
+        [[combine(sv, dw) for dw in w.terms] for sv in stars],
     )
     return products.get(ident, v.field.zero)
 

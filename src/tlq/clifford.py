@@ -96,7 +96,7 @@ class BladeElement(LinComb):
                 self.terms,
                 powers(_HALF, most_contractions),
                 other.terms,
-                _mul_basis,
+                [[_mul_basis(j, k) for k in other.terms] for j in self.terms],
             )
         )
 

@@ -10,11 +10,14 @@ line, and the flat (0, t+n)-form of a diagram *is* its pairing tuple.
 
 All functions here are pure and all values immutable.  ``diagram_basis``
 is the one indexed basis of monic (t, n)-diagrams per (t, n), and the level
-independent tables (generator actions, cell form, trace) hang off it.  The
-tables are built without composing pairs of diagrams: the action of each
-generator f_k on a diagram is a cup-cap rule on its pairing, and the cell
-form <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed
-row of it and a walk of the generator actions give the rest.
+independent tables (generator actions, cell form, trace, and the TL_n
+product table for n <= ``PRODUCTS_MAX_N``) hang off it.  The tables are
+built without composing pairs of diagrams: the action of each generator f_k
+on a diagram is a cup-cap rule on its pairing, and the cell form
+<x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed row of
+it and a walk of the generator actions give the rest.  The product table
+needs no composed row at all: (f_k D) D' = f_k (D D'), so a walk of the
+left actions from the identity fills it.
 
 ``hook_poly`` gives the hook quotient of an arc-nesting forest, the
 coefficient of the Jones-Wenzl idempotent, as a power of q times an integer
@@ -282,14 +285,20 @@ def closure_loops(n: int, pairing: tuple[int, ...]) -> int:
 # The indexed basis and its level-independent tables
 # ---------------------------------------------------------------------------
 
+# The largest n with a TL_n product table: 1430^2 entries of 3 bytes (6 MB)
+# at n = 8, and 4862^2 (71 MB) at n = 9.
+PRODUCTS_MAX_N = 8
+
 
 class DiagramBasis:
     """The monic (t, n)-diagrams in lexicographic order, a pairing -> position
     index, and the level-independent tables on them, built on first use.  The
     basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
-    only it has the star permutation, the trace table and the generator maps.
-    The generator actions are read off the pairings, and the cell form table
-    follows from one composed row by the invariance <f_k x, y> = <x, f_k y>.
+    only it has the star permutation, the trace table and the generator maps,
+    and for n <= PRODUCTS_MAX_N the product table.  The generator actions are
+    read off the pairings, the cell form table follows from one composed row
+    by the invariance <f_k x, y> = <x, f_k y>, and the product table from the
+    identity's row by the left actions.
     """
 
     def __init__(self, t: int, n: int):
@@ -334,6 +343,29 @@ class DiagramBasis:
             out.append((tgt, loops))
         return tuple(out)
 
+    def _walk(self, start: int, moves) -> list[tuple[int, int, int]]:
+        """The breadth-first walk from D_start along the loop-free ``moves``
+        (pairs (target, loops) from ``actions``): one step (source, move,
+        diagram) per diagram reached, after the step that reached its source.
+        Raises ``ArithmeticError`` when the walk misses a diagram."""
+        hops = [tgt.tolist() for tgt, _ in moves]
+        reached = [False] * len(self.pairings)
+        reached[start] = True
+        queue, steps = [start], []
+        for i in queue:
+            for move, targets in enumerate(hops):
+                k = targets[i]
+                if k >= 0 and not reached[k]:
+                    reached[k] = True
+                    queue.append(k)
+                    steps.append((i, move, k))
+        if len(queue) < len(reached):
+            raise ArithmeticError(
+                f"the generator walk reached {len(queue)} of {len(reached)} diagrams"
+                f" of ({self.t}, {self.n})"
+            )
+        return steps
+
     @cached_property
     def cell_exponents(self) -> np.ndarray:
         """exponents[i, j] = k when the cell form pairs D_i and D_j to
@@ -353,22 +385,10 @@ class DiagramBasis:
                 pairing, loops = compose_pairings(t, n, t, p, first)
                 if pairing == ident:
                     out[0, j] = loops
-            moves = [(tgt.tolist(), tgt, loops, tgt >= 0) for tgt, loops in self.actions]
-            reached = [True] + [False] * (size - 1)
-            queue = [0]
-            for i in queue:
-                row = out[i]
-                for targets, tgt, loops, nonzero in moves:
-                    k = targets[i]
-                    if k >= 0 and not reached[k]:
-                        reached[k] = True
-                        queue.append(k)
-                        moved = row[tgt]
-                        out[k] = np.where(nonzero & (moved >= 0), moved + loops, -1)
-            if len(queue) < size:
-                raise ArithmeticError(
-                    f"the generator walk reached {len(queue)} of {size} diagrams of ({t}, {n})"
-                )
+            for i, move, k in self._walk(0, self.actions):
+                tgt, loops = self.actions[move]
+                moved = out[i][tgt]
+                out[k] = np.where((tgt >= 0) & (moved >= 0), moved + loops, -1)
         out.setflags(write=False)
         return out
 
@@ -377,6 +397,34 @@ class DiagramBasis:
         """tr(D_i D_j) = delta^(exponents[i, j] - n) in TL_n: the meander matrix,
         its columns permuted by star, as a fresh copy (only the meander is kept)."""
         return self.cell_exponents[:, self.star]
+
+    @cached_property
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """The product table of TL_n, n <= PRODUCTS_MAX_N: targets[i, j] is
+        the position of D_i D_j (D_i stacked on top of D_j) and loops[i, j]
+        the loops it closes.
+
+        Nothing is composed.  The identity's row is arange(C(n)), and the
+        row of f_k D is the left action of f_k read at the row of D, its
+        loops added; a breadth-first walk of the loop-free left moves from
+        the identity reaches every diagram."""
+        m = self.n // 2
+        if self.t or m > PRODUCTS_MAX_N:
+            raise ValueError(f"no product table on ({self.t}, {self.n})")
+        size = len(self.pairings)
+        targets = np.empty((size, size), dtype=np.int16)
+        loops = np.empty((size, size), dtype=np.int8)
+        start = self.index[identity_pairing(m)]
+        targets[start], loops[start] = np.arange(size), 0
+        left = self.actions[m:]
+        for i, move, k in self._walk(start, left):
+            tgt, lps = left[move]
+            row = targets[i]
+            targets[k] = tgt[row]
+            loops[k] = loops[i] + lps[row]
+        targets.setflags(write=False)
+        loops.setflags(write=False)
+        return targets, loops
 
     @cached_property
     def generator_maps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -17,7 +17,8 @@ polynomial product and sum.
 
 ``LinComb`` is the one linear-combination type (elements of TL_n, cell
 vectors, Clifford blades): it owns sums, scalar multiples and comparisons,
-and ``packed_products`` is the one packed product loop over pairs of terms.
+and ``packed_products`` is the one packed product loop over pairs of terms,
+each pair's result key and weight index supplied by the caller.
 Exact rank (``plane_rank``) eliminates on integer coefficient planes: int64
 while a bound checked before each update stays below 2^62, Python integers after.
 
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Collection, Hashable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -494,11 +495,12 @@ def packed_products(
     xterms: Mapping[Hashable, CycNum],
     weights: Sequence[CycNum],
     yterms: Mapping[Hashable, CycNum],
-    combine: Callable[[Hashable, Hashable], "tuple[Hashable, int] | None"],
+    hits: Iterable[Iterable["tuple[Hashable, int] | None"]],
 ) -> dict[Hashable, CycNum]:
     """Sums of products x * w * y over pairs of terms, one per result key.
 
-    ``combine(kx, ky)`` returns ``(key, l)`` when the pair adds
+    ``hits`` holds one row per x term and one entry per y term, both in the
+    order of the mappings: ``(key, l)`` when the pair adds
     ``x * weights[l] * y`` to ``key``, ``(key, ~l)`` when it adds the
     negated product, and None when it adds nothing.  ``weights[0]`` is one.
     Every x is multiplied by every weight once and packed with its negation,
@@ -510,15 +512,11 @@ def packed_products(
     pack = KroneckerPacking(field, xs, yterms.values(), len(xterms) * len(yterms))
     stride = len(weights)
     neg = [-v for v in pack.x]
-    xrows = [
-        # Index ~l of a row reads the negated product -x * weights[l].
-        (kx, pack.x[start : start + stride] + neg[start : start + stride][::-1])
-        for kx, start in zip(xterms, range(0, len(xs), stride))
-    ]
     acc: dict[Hashable, int] = {}
-    for ky, y in zip(yterms, pack.y):
-        for kx, xrow in xrows:
-            hit = combine(kx, ky)
+    for start, row in zip(range(0, len(xs), stride), hits):
+        # Index ~l of xrow reads the negated product -x * weights[l].
+        xrow = pack.x[start : start + stride] + neg[start : start + stride][::-1]
+        for hit, y in zip(row, pack.y):
             if hit is not None:
                 key, l = hit
                 acc[key] = acc.get(key, 0) + xrow[l] * y

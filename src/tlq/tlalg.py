@@ -11,8 +11,11 @@ factor of delta = -(q + 1/q).
 ``TLElement`` is a :class:`tlq.exactnum.LinComb`, and its product is one
 call of :func:`tlq.exactnum.packed_products`: every diagram pair adds one
 integer product to the accumulator of its result diagram, and each result is
-unpacked into one ``CycNum``.  The trace packs its coefficients the same way.
-Neither enumerates the diagram basis, so both work at any n.
+unpacked into one ``CycNum``.  Up to n = ``PRODUCTS_MAX_N`` the result
+diagram and loop count of every pair are read from the product table of
+``diagram_basis(0, 2n)``; past it each pair is composed, and neither the
+product nor the trace (which packs its coefficients the same way)
+enumerates the basis, so both work at any n.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -36,6 +39,7 @@ import numpy as np
 from . import _intlinalg
 from .combinatorics import catalan
 from .diagram import (
+    PRODUCTS_MAX_N,
     Diagram,
     closure_loops,
     compose_pairings,
@@ -109,36 +113,37 @@ class TLElement(LinComb):
         self._check_compatible(other)
         if not self.terms or not other.terms:
             return self._like({})
-        n = self.n
-        # A loop closed in the glued row uses a bottom arc of x and a top arc
-        # of y, and an (n, n)-diagram with s through strands has (n - s) / 2
-        # of each; delta^l for l up to the smaller of the two largest arc
-        # counts covers every pair.
-        most_loops = min(
-            max(n - through_strands(d) for d in self.terms),
-            max(n - through_strands(d) for d in other.terms),
-        ) // 2
+        n, field = self.n, self.field
+        # "apply y, then x": stack x on top of y, as the table's D_i D_j does.
+        if n <= PRODUCTS_MAX_N:
+            basis = diagram_basis(0, 2 * n)
+            targets, loops = basis.products
+            pairs = np.ix_(
+                [basis.index[d.pairing] for d in self.terms],
+                [basis.index[d.pairing] for d in other.terms],
+            )
+            closed = loops[pairs]
+            most_loops = int(closed.max())
+            hits = map(zip, targets[pairs].tolist(), closed.tolist())
+        else:
+            # A loop closed in the glued row uses a bottom arc of x and a top
+            # arc of y, and an (n, n)-diagram with s through strands has
+            # (n - s) / 2 of each; delta^l for l up to the smaller of the two
+            # largest arc counts covers every pair.
+            most_loops = min(
+                max(n - through_strands(d) for d in self.terms),
+                max(n - through_strands(d) for d in other.terms),
+            ) // 2
+            hits = [
+                [compose_pairings(n, n, n, dy.pairing, dx.pairing) for dy in other.terms]
+                for dx in self.terms
+            ]
         products = packed_products(
-            self.field,
-            self.terms,
-            powers(self.field.delta, most_loops),
-            other.terms,
-            # "apply y, then x": stack x on top of y.
-            lambda dx, dy: compose_pairings(n, n, n, dy.pairing, dx.pairing),
+            field, self.terms, powers(field.delta, most_loops), other.terms, hits
         )
+        if n <= PRODUCTS_MAX_N:
+            products = {basis.pairings[k]: c for k, c in products.items()}
         return self._like({Diagram._trusted(n, n, pr): c for pr, c in products.items()})
-
-    def __pow__(self, k: int) -> TLElement:
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = TLElement.one(self.n, self.field.level)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def star(self) -> TLElement:
         """The * anti-automorphism: reflect every diagram, keep coefficients."""

@@ -163,10 +163,10 @@ def catalan_suite(order: int = 12) -> Checks:
     """Diagram counts vs closed forms, plus the generating-function block."""
     ok = True
     bad = ""
-    for total in range(0, 17, 2):
-        for t in range(total % 2, total + 1, 2):
-            k = (total - t) // 2
-            counted = len(diagram.diagram_basis(t, total).pairings)
+    for n in range(17):
+        for t in range(n % 2, n + 1, 2):
+            k = (n - t) // 2
+            counted = len(diagram.diagram_basis(t, n).pairings)
             if not (counted == combinatorics.w_recursive(t, k) == combinatorics.F_closed(t, k)):
                 ok = False
                 bad = f"(t={t}, k={k})"

@@ -3,6 +3,8 @@ the per-pair loops that each consumer ran before it."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_tl_tables_match_the_per_pair_loops(n):
 
 def test_tables_are_read_only():
     basis = diagram_basis(0, 8)
-    tables = [basis.star, basis.cell_exponents]
+    tables = [basis.star, basis.cell_exponents, *basis.products]
     tables += [a for pairs in (basis.actions, basis.generator_maps) for pair in pairs for a in pair]
     assert not any(a.flags.writeable for a in tables)
 
@@ -67,6 +69,46 @@ def test_cell_walk_raises_when_a_diagram_is_unreached(monkeypatch):
     monkeypatch.setattr(basis, "actions", tuple(cut))
     with pytest.raises(ArithmeticError, match="reached"):
         basis.cell_exponents
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_product_table_matches_composition(n):
+    basis = diagram_basis(0, 2 * n)
+    targets, loops = basis.products
+    pairings = basis.pairings
+    size = len(pairings)
+    assert targets.shape == loops.shape == (size, size)
+    assert targets.dtype == np.int16 and loops.dtype == np.int8
+    if n <= 7:
+        pairs = [(i, j) for i in range(size) for j in range(size)]
+    else:
+        rng = random.Random(2024)
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(20_000)]
+    for i, j in pairs:
+        # D_i D_j stacks D_i on top of D_j.
+        pairing, closed = diagram.compose_pairings(n, n, n, pairings[j], pairings[i])
+        assert (pairings[targets[i, j]], loops[i, j]) == (pairing, closed)
+
+
+def test_product_table_only_on_tl_up_to_the_cutoff():
+    assert diagram.PRODUCTS_MAX_N == 8
+    for t, n in ((0, 2 * diagram.PRODUCTS_MAX_N + 2), (2, 6)):
+        basis = diagram.DiagramBasis(t, n)
+        with pytest.raises(ValueError, match="no product table"):
+            basis.products
+
+
+def test_product_walk_raises_when_a_diagram_is_unreached(monkeypatch):
+    basis = diagram.DiagramBasis(0, 8)
+    cut = basis.index[diagram.generator_pairing(4, 1)]
+    moves = []
+    for tgt, loops in basis.actions:
+        # Every move into D_cut from another diagram stays where it is.
+        source = np.arange(len(tgt))
+        moves.append((np.where((tgt == cut) & (source != cut), source, tgt), loops))
+    monkeypatch.setattr(basis, "actions", tuple(moves))
+    with pytest.raises(ArithmeticError, match="reached"):
+        basis.products
 
 
 def test_tl8_tables_compose_at_most_one_row(monkeypatch):

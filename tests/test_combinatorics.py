@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from tlq import combinatorics, verify
 from tlq.combinatorics import (
     F_closed,
     SeriesZ,
@@ -100,3 +101,13 @@ def test_fibonacci():
     assert [fibonacci(k) for k in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
     with pytest.raises(ValueError):
         fibonacci(0)
+
+
+def test_catalan_suite_counts_odd_strand_counts(monkeypatch):
+    real = combinatorics.F_closed
+    # Wrong at one odd total t + 2k = 7 only.
+    monkeypatch.setattr(combinatorics, "F_closed", lambda t, k: real(t, k) + ((t, k) == (1, 3)))
+    report = verify.catalan_suite()
+    check = next(c for c in report["checks"] if c["name"] == "enumeration = recursion = closed form")
+    assert not check["pass"] and check["detail"] == "(t=1, k=3)"
+    assert report["passed"] is False

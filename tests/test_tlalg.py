@@ -110,7 +110,8 @@ def oracle_element(n: int, level: int, rng: random.Random, size: int, bits: int)
 
 
 @pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("n", range(8))
+# n = 8 multiplies by the product table and n = 9 composes each term pair.
+@pytest.mark.parametrize("n", range(10))
 def test_product_and_trace_match_per_term_oracle(level, n):
     rng = random.Random(1000 * level + n)
     dense = catalan(n) if n <= 6 else 60
@@ -138,6 +139,14 @@ def test_products_and_traces_that_cancel(level):
         assert (x * y).is_zero() and tl_product(x, y).is_zero()
         t = c * (one - field.delta * f1)
         assert jones_trace(t).is_zero() and markov_trace(t).is_zero()
+
+
+def test_products_past_the_cutoff_build_no_product_table():
+    n = diagram.PRODUCTS_MAX_N + 1
+    f = [generator(n, i, 5) for i in range(1, n)]
+    x = f[0] * f[7] + f[3] * f[4]
+    assert x * f[2] == tl_product(x, f[2])
+    assert "products" not in vars(diagram.diagram_basis(0, 2 * n))
 
 
 def test_products_and_traces_at_n12_enumerate_no_basis(monkeypatch):
