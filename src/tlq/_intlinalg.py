@@ -1,10 +1,10 @@
 """Exact linear algebra over GF(p), and the working primes.
 
 All GF(p) work goes through one Gauss-Jordan routine, :func:`_gauss_jordan`.
-The engine uses two routes built on it: ``ModpEchelon``, the incremental
+The engine's one route built on it is ``ModpEchelon``, the incremental
 reduced row echelon form behind the mod-p sandwich of ``tlalg`` (the ideal
-generated by E and the rank of the trace form), and
-``modp_rank_with_pivots``, behind the dimension of the Clifford image.
+generated by E and the rank of the trace form) and the dimension of the
+Clifford image; ``modp_rank_with_pivots`` serves only the lifting half.
 numpy float64 is used purely as an exact integer carrier, as in
 FFLAS-FFPACK: every intermediate value is kept below 2**53 by construction,
 and the bounds that depend on the input are checked with explicit raises,

@@ -132,7 +132,8 @@ def cmd_dims(args: argparse.Namespace) -> int:
                 row[f"dimQ_{route}"] = dimq[route]
             row["agree"] = verify.agree(at_t) and verify.agree(dimq)
             rows.append(row)
-    computed = routes != ("rank",) or any(row["l_rank"] is not None for row in rows)
+    # Something was computed when some route has a value in some row.
+    computed = any(row[k] is not None for row in rows for k in row if k.startswith(("l_", "dimQ_")))
     return _emit_table(rows, computed, args.level, args.format, args.out)
 
 

@@ -7,6 +7,8 @@ parity of the transpositions needed to sort a concatenation, and each
 repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
 :class:`tlq.exactnum.LinComb` whose product runs on
 :func:`tlq.exactnum.packed_products`, with the sign folded into the pair.
+The table of diagram images follows :meth:`tlq.diagram.DiagramBasis.walk`,
+and the dimension of its span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
 """
 
 from __future__ import annotations
@@ -145,26 +147,18 @@ def phi_generator(n: int, j: int) -> BladeElement:
 
 
 @lru_cache(maxsize=None)
-def _phi_table(n: int) -> dict[int, BladeElement]:
+def _phi_table(n: int) -> tuple[BladeElement, ...]:
     """phi on every diagram of TL_n by basis position, built by loop-free left
-    multiplication from the identity (prefixes of reduced words stay loop-free)."""
+    multiplication from the identity along :meth:`DiagramBasis.walk`
+    (prefixes of reduced words stay loop-free)."""
     basis = diagram_basis(0, 2 * n)
+    start = basis.index[identity_pairing(n)]
+    images = [phi_generator(n, i) for i in range(1, n)]
+    table = [BladeElement.one(n)] * len(basis.pairings)  # the walk sets all but start
     # f_i * D is the first map of each generator's (left, right) pair.
-    lefts = [(tgt.tolist(), loops.tolist()) for tgt, loops in basis.generator_maps[::2]]
-    gen_images = [phi_generator(n, i) for i in range(1, n)]
-    table = {basis.index[identity_pairing(n)]: BladeElement.one(n)}
-    frontier = list(table)
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for (tgt, loops), gimg in zip(lefts, gen_images):
-                if loops[k] == 0 and tgt[k] not in table:
-                    table[tgt[k]] = gimg * table[k]
-                    nxt.append(tgt[k])
-        frontier = nxt
-    if len(table) != len(basis.pairings):
-        raise ArithmeticError("left-multiplication walk missed diagrams")
-    return table
+    for i, move, k in basis.walk(start, basis.generator_maps[::2]):
+        table[k] = images[move] * table[i]
+    return tuple(table)
 
 
 def phi(x: TLElement) -> BladeElement:
@@ -204,10 +198,10 @@ def image_dimension(n: int) -> int:
     p = next(_intlinalg.working_primes(order=2 * _LEVEL))
     image = mod_p_image(_LEVEL, p)
     rows = np.zeros((len(table), len(col)))
-    for r, blade in enumerate(table.values()):
+    for r, blade in enumerate(table):
         for m, c in blade.terms.items():
             rows[r, col[m]] = image(c)
-    if _intlinalg.modp_rank_with_pivots(rows, p)[0] == len(col):
+    if len(_intlinalg.ModpEchelon(len(col), p).add_rows(rows)) == len(col):
         return len(col)
     return _image_dimension_exact(n)
 
@@ -215,7 +209,7 @@ def image_dimension(n: int) -> int:
 def _image_dimension_exact(n: int) -> int:
     """The rank of :func:`image_dimension` by exact elimination over Q(zeta)."""
     masks = even_masks(n)
-    rows = [[blade.coefficient(m) for m in masks] for blade in _phi_table(n).values()]
+    rows = [[blade.coefficient(m) for m in masks] for blade in _phi_table(n)]
     return ExactMatrix(_field(), rows).rank()
 
 

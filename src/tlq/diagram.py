@@ -343,7 +343,7 @@ class DiagramBasis:
             out.append((tgt, loops))
         return tuple(out)
 
-    def _walk(self, start: int, moves) -> list[tuple[int, int, int]]:
+    def walk(self, start: int, moves) -> list[tuple[int, int, int]]:
         """The breadth-first walk from D_start along the loop-free ``moves``
         (pairs (target, loops) from ``actions``): one step (source, move,
         diagram) per diagram reached, after the step that reached its source.
@@ -385,7 +385,7 @@ class DiagramBasis:
                 pairing, loops = compose_pairings(t, n, t, p, first)
                 if pairing == ident:
                     out[0, j] = loops
-            for i, move, k in self._walk(0, self.actions):
+            for i, move, k in self.walk(0, self.actions):
                 tgt, loops = self.actions[move]
                 moved = out[i][tgt]
                 out[k] = np.where((tgt >= 0) & (moved >= 0), moved + loops, -1)
@@ -417,7 +417,7 @@ class DiagramBasis:
         start = self.index[identity_pairing(m)]
         targets[start], loops[start] = np.arange(size), 0
         left = self.actions[m:]
-        for i, move, k in self._walk(start, left):
+        for i, move, k in self.walk(start, left):
             tgt, lps = left[move]
             row = targets[i]
             targets[k] = tgt[row]

@@ -37,7 +37,7 @@ def _check(name: str, ok: bool, detail: str = "") -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 # The largest n at which each costly route is run; past it the route is
-# skipped (None) and never started.  "rank": the exact cell Gram rank;
+# skipped (None) and never started.  "rank": the exact cell Gram matrix;
 # "sandwich": radical_split, hence the ideal route and the trace-form rank
 # (the exact one below level - 1 too); "jw": E_{l-1}, counted by l - 1;
 # "clifford": the Clifford suite, whose phi table takes 0.9 s and 41 MB at
@@ -376,7 +376,9 @@ def radical_suite(max_n: int = 8) -> Checks:
 
 @_suite
 def classification_suite(max_n: int = 10) -> Checks:
-    """E maps W_t into the radical of the cell form exactly when t <= l-2."""
+    """E maps W_t into the radical of the cell form exactly when t <= l-2,
+    up to the rank reach: the check builds the exact cell Gram matrix."""
+    max_n = min(max_n, REACH["rank"])
     for level in (4, 5, 6):
         ns = range(level - 1, max_n + 1)
         if not ns:

@@ -111,6 +111,21 @@ def test_product_walk_raises_when_a_diagram_is_unreached(monkeypatch):
         basis.products
 
 
+def test_phi_walk_raises_when_a_diagram_is_unreached(monkeypatch):
+    n = 4
+    basis = diagram_basis(0, 2 * n)
+    cut = basis.index[diagram.generator_pairing(n, 1)]
+    maps = []
+    for tgt, loops in basis.generator_maps:
+        # Every move into D_cut from another diagram stays where it is.
+        source = np.arange(len(tgt))
+        maps.append((np.where((tgt == cut) & (source != cut), source, tgt), loops))
+    # monkeypatch puts the cached basis's own maps back afterwards.
+    monkeypatch.setattr(basis, "generator_maps", tuple(maps))
+    with pytest.raises(ArithmeticError, match="reached"):
+        clifford._phi_table.__wrapped__(n)
+
+
 def test_tl8_tables_compose_at_most_one_row(monkeypatch):
     calls = []
     real = diagram.compose_pairings

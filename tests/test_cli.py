@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tlq import cli, tlalg, verify
+from tlq import cellrep, cli, tlalg, verify
 from tlq.combinatorics import catalan
 from tlq.quotientdim import dim_q_closed
 
@@ -184,6 +184,22 @@ def test_dims_input_validation(capsys):
     assert {r["t"] for r in rows} == {0, 2} and all(r["agree"] for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--level", "3", "--n", "2..4", "--routes", "matrix"), cli.EXIT_RESOURCE),
+        (("--level", "7", "--n", "2..4", "--routes", "closed"), cli.EXIT_RESOURCE),
+        (("--level", "4", "--n", "13..13", "--routes", "rank"), cli.EXIT_RESOURCE),
+        (("--level", "3", "--n", "2..4", "--routes", "matrix,closed"), cli.EXIT_OK),
+    ],
+)
+def test_dims_with_nothing_computed_exits_3(capsys, argv, expected):
+    # One rule for every route set: some l_* or dimQ_* value is not null.
+    code, out = run(capsys, "dims", *argv)
+    assert code == expected
+    assert json.loads(out)["rows"]
+
+
 @pytest.mark.parametrize("level, n", [(4, "0..2"), (6, "0..1"), (5, "0..2")])
 def test_dims_below_the_closed_forms(capsys, level, n):
     # Below the domain of the closed simple dimensions the route is absent,
@@ -344,6 +360,21 @@ def test_verify_with_no_checks_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert verify.SUITES[argv[0]](max_n=int(argv[2]))["passed"] is False
+
+
+def test_classification_stops_at_the_rank_reach(capsys, monkeypatch):
+    monkeypatch.setitem(verify.REACH, "rank", 6)
+    real = cellrep.annihilation_check
+
+    def annihilation_check(t, n, level):
+        if n > 6:
+            pytest.fail(f"annihilation_check({t}, {n}, {level}) started past the rank reach")
+        return real(t, n, level)
+
+    monkeypatch.setattr(cellrep, "annihilation_check", annihilation_check)
+    code, out = run(capsys, "verify", "classification", "--max-n", "13")
+    assert code == 0
+    assert [c["detail"] for c in json.loads(out)["checks"]] == ["n <= 6"] * 3
 
 
 def test_classification_checks_only_levels_with_an_n():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import slow_blade_product
+from tlq import _intlinalg, clifford
 from tlq.clifford import (
     BladeElement,
     constant_term_trace,
@@ -127,6 +128,21 @@ def test_image_dimension():
     assert image_dimension(4) == 8
     assert image_dimension(5) == 16
     assert _image_dimension_exact(4) == 8
+
+
+def test_image_dimension_ranks_on_the_echelon_and_falls_back_to_exact(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("image_dimension called modp_rank_with_pivots")
+
+    monkeypatch.setattr(_intlinalg, "modp_rank_with_pivots", refuse)
+    calls = []
+    monkeypatch.setattr(
+        clifford, "_image_dimension_exact", lambda n: calls.append(n) or _image_dimension_exact(n)
+    )
+    assert image_dimension(5) == 16 and calls == []
+    # An unlucky prime that sends every coefficient to 0 leaves the exact rank.
+    monkeypatch.setattr(clifford, "mod_p_image", lambda level, p: lambda c: 0)
+    assert image_dimension(4) == 8 and calls == [4]
 
 
 def test_trace_correspondence():

@@ -356,15 +356,15 @@ def test_kronecker_overflow_raises(monkeypatch):
 
 def test_packing_checks_hold_under_python_O():
     # The exactness checks here, the table-based kill check of radical_split,
-    # its retry paths and the guards of the cell-form and product walks must
-    # all raise without the help of assert.
+    # its retry paths and the guards of the cell-form, product and phi walks
+    # must all raise without the help of assert.
     root = Path(__file__).resolve().parents[1]
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
         (Path(__file__).resolve(), "kronecker or inverse or norm or divexact or plane_rank"),
         (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails"),
-        (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises"),
+        (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises or phi_walk_raises"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),
     ):
         result = subprocess.run(
