@@ -145,9 +145,10 @@ def _gather_monic(t: int, n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_monic(t: int, n: int) -> tuple[Diagram, ...]:
     """All monic diagrams t -> n in canonical (lexicographic) order.
 
-    Empty when the parity fails or t > n.
+    Empty when the parity fails or t > n.  The pairings are planar by
+    construction, so the public constructor's checks are skipped.
     """
-    return tuple(Diagram(t, n, p) for p in diagram_basis(t, n).pairings)
+    return tuple(Diagram._trusted(t, n, p) for p in diagram_basis(t, n).pairings)
 
 
 def tl_pairings(n: int) -> tuple[tuple[int, ...], ...]:
@@ -155,8 +156,9 @@ def tl_pairings(n: int) -> tuple[tuple[int, ...], ...]:
     return diagram_basis(0, 2 * n).pairings
 
 
+@lru_cache(maxsize=None)
 def tl_basis(n: int) -> tuple[Diagram, ...]:
-    return tuple(Diagram(n, n, p) for p in tl_pairings(n))
+    return tuple(Diagram._trusted(n, n, p) for p in tl_pairings(n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ vectors, Clifford blades): it owns sums, scalar multiples and comparisons,
 and ``packed_products`` is the one packed product loop over pairs of terms,
 each pair's result key and weight index supplied by the caller.
 Exact rank (``plane_rank``) eliminates on integer coefficient planes: int64
-while a bound checked before each update stays below 2^62, Python integers after.
+while a bound checked before each update stays below 2^62, Python integers after
+(``int_dtype`` is that rule).  ``coefficient_plane`` turns CycNums into one
+plane over a common denominator, ``plane_products`` multiplies rows pairwise,
+and ``power_planes`` multiplies by x^0 .. x^L, so that a sum weighted by
+powers of x is one contraction.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -196,10 +200,7 @@ class CycNum:
         if den < 0:
             den = -den
             num = [-v for v in num]
-        g = den
-        for v in num:
-            if v:
-                g = math.gcd(g, v)
+        g = math.gcd(den, *num)
         if g > 1:
             den //= g
             num = [v // g for v in num]
@@ -644,22 +645,50 @@ class ExactMatrix:
         """Exact rank by :func:`plane_rank`, each row over its own denominator."""
         planes = np.array([_common_numerators(r)[1] for r in self.rows], dtype=object)
         planes = planes.reshape(self.nrows, self.ncols, self.field.degree)
-        if _maxabs(planes) < _INT64_SAFE:
-            planes = planes.astype(np.int64)
-        return plane_rank(self.field, planes)
+        return plane_rank(self.field, planes.astype(int_dtype(maxabs(planes))))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols}, level={self.field.level})"
 
 
-def _maxabs(x: np.ndarray) -> int:
+def maxabs(x: np.ndarray) -> int:
     """The largest absolute coefficient, at least 1 (so a bound keeps both factors)."""
     return int(np.abs(x).max(initial=1))
 
 
-def _plane_products(field: CyclotomicField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def int_dtype(bound: int):
+    """int64 while ``bound``, checked before the work it bounds, is below
+    2^62; Python integers (object) from there on."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def coefficient_plane(field: CyclotomicField, values: Collection[CycNum]) -> tuple[int, np.ndarray]:
+    """The common denominator of ``values`` and their numerators as an integer
+    plane of shape (len(values), degree), int64 when every entry fits."""
+    den, nums = _common_numerators(values)
+    plane = np.array(nums, dtype=object).reshape(len(nums), field.degree)
+    return den, plane.astype(int_dtype(maxabs(plane)))
+
+
+def plane_products(field: CyclotomicField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """out[i, j] = x[i] * y[j] for coefficient rows x (k, d) and y (c, d)."""
     return y @ np.tensordot(x, field._mult, axes=(1, 0))
+
+
+@lru_cache(maxsize=None)
+def power_planes(x: CycNum, upto: int) -> np.ndarray:
+    """out[l, j] = zeta^j * x^l for l = 0 .. upto, integer rows of shape
+    (upto + 1, degree, degree), for an x with integer coefficients: a plane
+    acc (k, upto + 1, degree) of coefficients of x^l is summed to k values by
+    acc.reshape(k, -1) @ out.reshape(-1, degree)."""
+    field = x.field
+    if x.den != 1:
+        raise ValueError("power planes need integer coefficients")
+    rows = np.array([c.num for c in powers(x, upto)], dtype=object)
+    out = plane_products(field, rows, np.eye(field.degree, dtype=object))
+    out = out.astype(int_dtype(maxabs(out)))
+    out.setflags(write=False)
+    return out
 
 
 def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:
@@ -673,7 +702,7 @@ def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:
     Python integers from the first update where it is not."""
     a, rank = planes, 0
     while a.size:
-        nz = a.any(axis=2)
+        nz = (a != 0).any(axis=2)
         cols = np.flatnonzero(nz.any(axis=0))
         if not cols.size:
             break
@@ -684,12 +713,12 @@ def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:
         if others:
             inv = CycNum(field, 1, tuple(map(int, a[piv, col]))).inverse()
             factor = np.array([inv.num], dtype=object)
-            e = _plane_products(field, a[others, col].astype(object), factor)[:, 0]
-            bound = inv.den * _maxabs(a[others, col + 1 :])
-            if bound + _maxabs(e) * _maxabs(a[piv, col + 1 :]) * field._mult_bound >= _INT64_SAFE:
+            e = plane_products(field, a[others, col].astype(object), factor)[:, 0]
+            bound = inv.den * maxabs(a[others, col + 1 :])
+            if bound + maxabs(e) * maxabs(a[piv, col + 1 :]) * field._mult_bound >= _INT64_SAFE:
                 a = a.astype(object)
             new = inv.den * a[others, col + 1 :]
-            new -= _plane_products(field, e.astype(a.dtype), a[piv, col + 1 :])
+            new -= plane_products(field, e.astype(a.dtype), a[piv, col + 1 :])
             g = np.gcd.reduce(new.reshape(len(new), -1), axis=1)
             new = new[g != 0] // g[g != 0, None, None]
         a = np.concatenate((a[~hit, col + 1 :], new))

@@ -8,14 +8,18 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 :mod:`tlq.cellrep`.  One closed loop removed during stacking contributes one
 factor of delta = -(q + 1/q).
 
-``TLElement`` is a :class:`tlq.exactnum.LinComb`, and its product is one
-call of :func:`tlq.exactnum.packed_products`: every diagram pair adds one
-integer product to the accumulator of its result diagram, and each result is
-unpacked into one ``CycNum``.  Up to n = ``PRODUCTS_MAX_N`` the result
-diagram and loop count of every pair are read from the product table of
-``diagram_basis(0, 2n)``; past it each pair is composed, and neither the
-product nor the trace (which packs its coefficients the same way)
-enumerates the basis, so both work at any n.
+``TLElement`` is a :class:`tlq.exactnum.LinComb`.  Its product, its trace
+and the check that the trace kills the Jones-Wenzl ideal share one step on
+integer coefficient planes over a common denominator, the fraction-free
+pattern of :func:`tlq.exactnum.plane_rank`: each coefficient is
+scatter-added to the accumulator row of (result, loop count), and one
+contraction with the planes of delta^0 .. delta^L gives every result.  A
+product's pairs are multiplied in blocks; up to n = ``PRODUCTS_MAX_N`` their
+results and loop counts come from the product table of
+``diagram_basis(0, 2n)`` and the trace's closure loops from the identity's
+row of its trace table.  Past it each pair is composed and each closure is
+walked, so neither the product nor the trace enumerates the basis and both
+work at any n.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -48,24 +52,32 @@ from .diagram import (
     generator_diagram,
     hook_poly,
     identity,
+    identity_pairing,
     nesting_forest,
     rotate_to_flat,
     star,
     tl_basis,
-    through_strands,
 )
 from .exactnum import (
     CycNum,
     CyclotomicField,
     ExactMatrix,
-    KroneckerPacking,
     LinComb,
+    coefficient_plane,
     cyclotomic_field,
+    int_dtype,
+    maxabs,
     mod_p_image,
-    packed_products,
+    plane_products,
+    power_planes,
     powers,
     quantum_int,
 )
+
+
+# Pairs multiplied at once by a product, and trace-table entries read at
+# once by the ideal check: a block is one (entries, degree) integer plane.
+_PAIR_BLOCK = 4096
 
 
 class TLElement(LinComb):
@@ -118,32 +130,41 @@ class TLElement(LinComb):
         if n <= PRODUCTS_MAX_N:
             basis = diagram_basis(0, 2 * n)
             targets, loops = basis.products
-            pairs = np.ix_(
-                [basis.index[d.pairing] for d in self.terms],
-                [basis.index[d.pairing] for d in other.terms],
-            )
-            closed = loops[pairs]
-            most_loops = int(closed.max())
-            hits = map(zip, targets[pairs].tolist(), closed.tolist())
+            px = np.array([basis.index[d.pairing] for d in self.terms], dtype=np.intp)
+            py = np.array([basis.index[d.pairing] for d in other.terms], dtype=np.intp)
+            step = _rows_per_block(len(py))
+            hit = np.zeros(len(basis.pairings), dtype=bool)
+            most_loops = 0
+            for i in range(0, len(px), step):
+                block = np.ix_(px[i : i + step], py)
+                hit[targets[block]] = True
+                most_loops = max(most_loops, int(loops[block].max()))
+            slot = np.cumsum(hit) - 1
+            results = [basis.pairings[k] for k in np.flatnonzero(hit).tolist()]
+
+            def keys(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+                block = np.ix_(px[rows], py)
+                return slot[targets[block]], loops[block]
         else:
-            # A loop closed in the glued row uses a bottom arc of x and a top
-            # arc of y, and an (n, n)-diagram with s through strands has
-            # (n - s) / 2 of each; delta^l for l up to the smaller of the two
-            # largest arc counts covers every pair.
-            most_loops = min(
-                max(n - through_strands(d) for d in self.terms),
-                max(n - through_strands(d) for d in other.terms),
-            ) // 2
+            slots: dict[tuple[int, ...], int] = {}
             hits = [
                 [compose_pairings(n, n, n, dy.pairing, dx.pairing) for dy in other.terms]
                 for dx in self.terms
             ]
-        products = packed_products(
-            field, self.terms, powers(field.delta, most_loops), other.terms, hits
-        )
-        if n <= PRODUCTS_MAX_N:
-            products = {basis.pairings[k]: c for k, c in products.items()}
-        return self._like({Diagram._trusted(n, n, pr): c for pr, c in products.items()})
+            slot = np.array([[slots.setdefault(pr, len(slots)) for pr, _ in row] for row in hits])
+            loops = np.array([[l for _, l in row] for row in hits])
+            most_loops, results = int(loops.max()), list(slots)
+
+            def keys(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+                return slot[rows], loops[rows]
+
+        dx, a = coefficient_plane(field, self.terms.values())
+        dy, b = coefficient_plane(field, other.terms.values())
+        sums = _pair_sums(field, a, b, len(results), most_loops, keys)
+        return self._like({
+            Diagram._trusted(n, n, pr): field.from_coeffs(dx * dy, row)
+            for pr, row in zip(results, sums.tolist())
+        })
 
     def star(self) -> TLElement:
         """The * anti-automorphism: reflect every diagram, keep coefficients."""
@@ -154,6 +175,58 @@ class TLElement(LinComb):
             return "0"
         parts = [f"({c!r})*{d.pairing}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].pairing)]
         return " + ".join(parts)
+
+
+def _rows_per_block(width: int) -> int:
+    """Rows of ``width`` entries that make one block of about _PAIR_BLOCK."""
+    return max(1, _PAIR_BLOCK // width)
+
+
+def _sums_dtype(field: CyclotomicField, most_loops: int, bound: int):
+    """The integer type of :func:`_delta_sums` when ``bound`` bounds every
+    accumulated coefficient, checked before any work: int64 while the
+    contracted sums stay below 2^62, Python integers otherwise."""
+    weights = power_planes(field.delta, most_loops)
+    return int_dtype(bound * maxabs(weights) * (most_loops + 1) * field.degree)
+
+
+def _delta_sums(
+    field: CyclotomicField, nslots: int, most_loops: int, dtype, blocks
+) -> np.ndarray:
+    """out[s] = sum of v * delta^l over the entries (s, l, v) of ``blocks``,
+    as an integer plane of shape (nslots, degree).
+
+    Each block is arrays (slot, loops, values), values of shape
+    slot.shape + (degree,) and of type ``dtype``.  Each v is scatter-added
+    to the accumulator row of (s, l), and the accumulator is contracted once
+    with the planes of delta^0 .. delta^most_loops."""
+    width, d = most_loops + 1, field.degree
+    weights = power_planes(field.delta, most_loops)
+    # acc[(s * width + l) * d + k] is coefficient k of the sum for (s, l).
+    acc = np.zeros(nslots * width * d, dtype=dtype)
+    for slot, loops, values in blocks:
+        flat = (slot * width + loops).reshape(-1, 1) * d + np.arange(d)
+        np.add.at(acc, flat.ravel(), values.ravel())
+    return acc.reshape(nslots, width * d) @ weights.reshape(width * d, d)
+
+
+def _pair_sums(
+    field: CyclotomicField, a: np.ndarray, b: np.ndarray, nslots: int, most_loops: int, keys
+) -> np.ndarray:
+    """out[s] = sum of a_i * b_j * delta^l over the pairs (i, j) that
+    ``keys(rows)`` sends to (s, l): it gives (slot, loops) arrays of shape
+    (rows, len(b)) for a slice of the rows of the coefficient plane a.  The
+    pair products are formed one block of rows at a time."""
+    # Each accumulated coefficient sums at most one product per pair.
+    bound = maxabs(a) * maxabs(b) * field._mult_bound * len(a) * len(b)
+    dtype = _sums_dtype(field, most_loops, bound)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    step = _rows_per_block(len(b))
+    blocks = (
+        (*keys(slice(i, i + step)), plane_products(field, a[i : i + step], b))
+        for i in range(0, len(a), step)
+    )
+    return _delta_sums(field, nslots, most_loops, dtype, blocks)
 
 
 @lru_cache(maxsize=None)
@@ -189,17 +262,21 @@ def jones_trace(x: TLElement) -> CycNum:
     n, field = x.n, x.field
     if not x.terms:
         return field.zero
+    if n <= PRODUCTS_MAX_N:
+        # tr(D) = tr(1 D): c is the identity's row of the trace table, the
+        # meander matrix with its columns permuted by star.
+        basis = diagram_basis(0, 2 * n)
+        pos = np.array([basis.index[d.pairing] for d in x.terms], dtype=np.intp)
+        closure = basis.cell_exponents[basis.index[identity_pairing(n)], basis.star[pos]]
+    else:
+        closure = np.array([closure_loops(n, d.pairing) for d in x.terms], dtype=np.intp)
     # Coefficients are summed per loop count c <= n, and each sum is
-    # multiplied by delta^c once.
-    pack = KroneckerPacking(
-        field, x.terms.values(), powers(field.delta, n), len(x.terms)
-    )
-    sums: dict[int, int] = {}
-    for d, xi in zip(x.terms, pack.x):
-        c = closure_loops(n, d.pairing)
-        sums[c] = sums.get(c, 0) + xi
-    total = pack.unpack(sum(s * pack.y[c] for c, s in sums.items()))
-    return total * _delta_inverse_power(field, n)
+    # multiplied by delta^c in one contraction.
+    den, plane = coefficient_plane(field, x.terms.values())
+    dtype = _sums_dtype(field, n, maxabs(plane) * len(plane))
+    blocks = [(np.zeros_like(closure), closure, plane.astype(dtype, copy=False))]
+    total = _delta_sums(field, 1, n, dtype, blocks)[0]
+    return field.from_coeffs(den, total.tolist()) * _delta_inverse_power(field, n)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +364,20 @@ def _assert_trace_kills_ideal(level: int, n: int):
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
     ej = embedded_jones_wenzl(level, n)
     field, basis = ej.field, diagram_basis(0, 2 * n)
-    cols = [basis.index[d.pairing] for d in ej.terms]
+    cols = basis.star[[basis.index[d.pairing] for d in ej.terms]]
+    _, plane = coefficient_plane(field, ej.terms.values())
+    dtype = _sums_dtype(field, n, maxabs(plane) * len(cols))
+    plane = plane.astype(dtype, copy=False)
     # tr(E y) = delta^(-n) sum_e c_e delta^T[y, e] for the symmetric trace
-    # table T, whose entries are at most n.  Each E coefficient is packed
-    # against delta^0..delta^n once, so a row of T picks one product per term.
-    pack = KroneckerPacking(field, ej.terms.values(), powers(field.delta, n), len(cols))
-    products = [[xe * yc for yc in pack.y] for xe in pack.x]
-    for row in basis.trace_exponents[:, cols].tolist():
-        if pack.unpack(sum(pe[c] for pe, c in zip(products, row))):
+    # table T, whose entries are at most n; E's columns of T are the meander
+    # matrix read at the star of each E diagram.  Row y of T sends c_e to
+    # slot y with loop count T[y, e].
+    step = _rows_per_block(len(cols))
+    for i in range(0, len(basis.pairings), step):
+        expo = basis.cell_exponents[i : i + step, cols]
+        slot = np.broadcast_to(np.arange(len(expo))[:, None], expo.shape)
+        values = np.broadcast_to(plane, expo.shape + plane.shape[1:])
+        if (_delta_sums(field, len(expo), n, dtype, [(slot, expo, values)]) != 0).any():
             raise ArithmeticError(
                 f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
             )

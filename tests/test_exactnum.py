@@ -363,7 +363,7 @@ def test_packing_checks_hold_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
         (Path(__file__).resolve(), "kronecker or inverse or norm or divexact or plane_rank"),
-        (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails"),
+        (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"),
         (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises or phi_walk_raises"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),
     ):

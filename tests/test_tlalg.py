@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import ideal_dimension_exact, markov_trace, tl_product
-from tlq import _intlinalg, diagram, tlalg
+from tlq import _intlinalg, diagram, exactnum, tlalg
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
 from tlq.exactnum import cyclotomic_field, mod_p_image
@@ -30,11 +31,11 @@ LEVELS = (3, 4, 5, 6, 7, 8)
 
 
 def random_element(n: int, level: int, rng: random.Random) -> TLElement:
-    x = TLElement.zero(n, level)
-    for d in tl_basis(n):
-        if rng.random() < 0.5:
-            x = x + TLElement.from_diagram(d, level).scale(rng.randint(-3, 3))
-    return x
+    """Each basis diagram with probability 1/2, its coefficient in -3..3."""
+    field = cyclotomic_field(level)
+    return TLElement(n, field, {
+        d: field.from_int(rng.randint(-3, 3)) for d in tl_basis(n) if rng.random() < 0.5
+    })
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -127,18 +128,112 @@ def test_product_and_trace_match_per_term_oracle(level, n):
     assert jones_trace(zero) == markov_trace(zero)
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("a per-term route was taken")
+
+
+@pytest.mark.parametrize("level", (3, 5, 8))
+def test_table_products_and_traces_take_no_per_term_route(level, monkeypatch):
+    # Up to PRODUCTS_MAX_N the product and the trace read the basis tables
+    # and sum on coefficient planes: no closure is walked, nothing is packed
+    # or unpacked.
+    rng = random.Random(level)
+    cases = []
+    for n in range(diagram.PRODUCTS_MAX_N + 1):
+        for bits in (3, 90):
+            size = min(catalan(n), 40)
+            x = oracle_element(n, level, rng, size, bits)
+            y = oracle_element(n, level, rng, size, bits)
+            cases.append((x, y, markov_trace(tl_product(x, y))))
+    monkeypatch.setattr(diagram, "closure_loops", _raise)
+    monkeypatch.setattr(tlalg, "closure_loops", _raise)
+    monkeypatch.setattr(exactnum, "packed_products", _raise)
+    monkeypatch.setattr(exactnum.KroneckerPacking, "unpack", _raise)
+    for x, y, expected in cases:
+        assert jones_trace(x * y) == expected
+
+
+def test_product_past_the_int64_bound(monkeypatch):
+    # The product's checked bound is set just past 2^62 (Python integers)
+    # and just below it (int64); both must match the per-term oracle.
+    level, n = 5, 4
+    field = cyclotomic_field(level)
+    rng = random.Random(62)
+    unit = [
+        TLElement(n, field, {
+            d: field.from_coeffs(1, [rng.randint(-3, 3) for _ in range(field.degree)])
+            for d in tl_basis(n)
+        })
+        for _ in range(2)
+    ]
+    real = tlalg.int_dtype
+    bounds = []
+
+    def recorded(bound):
+        bounds.append(bound)
+        return real(bound)
+
+    def product_bound(x, y):
+        bounds.clear()
+        product = x * y
+        return bounds[0], product
+
+    monkeypatch.setattr(tlalg, "int_dtype", recorded)
+    base, _ = product_bound(*unit)
+    a = 2**30
+    b = -(-(2**62) // (base * a))
+    # Raises, not asserts: this test is also run under python -O.
+    for scale_b, past in ((b, True), (b - 1, False)):
+        x, y = unit[0].scale(a), unit[1].scale(scale_b)
+        bound, product = product_bound(x, y)
+        if (bound >= 2**62) != past or not bound < 2**62 + base * a:
+            raise AssertionError((bound, past))
+        if product != tl_product(x, y):
+            raise AssertionError("the product differs from the per-term oracle")
+
+
+def test_jw8_square_stays_small_in_memory():
+    # E_8 E_8 at level 9 multiplies 1430^2 pairs; they are formed in blocks.
+    e = jones_wenzl(9).element
+    diagram.diagram_basis(0, 16).products
+    tracemalloc.start()
+    try:
+        square = e * e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+    assert square == e
+
+
+def test_product_element_equals_and_hashes_like_its_terms():
+    level, n = 6, 5
+    rng = random.Random(5)
+    x, y = (oracle_element(n, level, rng, 20, 8) for _ in range(2))
+    first, second = x * y, x * y
+    built = TLElement(n, cyclotomic_field(level), dict((x * y).terms))
+    assert first == built and built == first
+    assert hash(second) == hash(built)
+    # A product whose terms were read still multiplies like the dict element.
+    assert first * y == built * y == tl_product(built, y)
+
+
 @pytest.mark.parametrize("level", LEVELS)
 def test_products_and_traces_that_cancel(level):
     field = cyclotomic_field(level)
     rng = random.Random(level)
+    # A small numerator keeps the product in int64 under a denominator
+    # past it.
+    small = field.from_coeffs(2**61 - 1, list(range(1, field.degree + 1)))
     for n in range(2, 8):
-        c = field.from_coeffs(2**61 - 1, [rng.randint(-(2**85), 2**85) for _ in range(field.degree)])
+        big = field.from_coeffs(2**61 - 1, [rng.randint(-(2**85), 2**85) for _ in range(field.degree)])
         f1, one = generator(n, 1, level), TLElement.one(n, level)
-        # f1 (f1 - delta) = 0 and tr(1 - delta f1) = 0.
-        x, y = c * f1, c * (f1 - field.delta * one)
-        assert (x * y).is_zero() and tl_product(x, y).is_zero()
-        t = c * (one - field.delta * f1)
-        assert jones_trace(t).is_zero() and markov_trace(t).is_zero()
+        for c in (big, small):
+            # f1 (f1 - delta) = 0 and tr(1 - delta f1) = 0.
+            x, y = c * f1, c * (f1 - field.delta * one)
+            assert (x * y).is_zero() and tl_product(x, y).is_zero()
+            t = c * (one - field.delta * f1)
+            assert jones_trace(t).is_zero() and markov_trace(t).is_zero()
 
 
 def test_products_past_the_cutoff_build_no_product_table():
