@@ -1,8 +1,8 @@
 """Cell modules W_t(n), the bilinear cell form, simple dimensions by Gram
 rank and by the alternating sum over the reflection orbit, and the
 classification checks for the semisimple quotient.  ``CellVector`` is a
-:class:`tlq.exactnum.LinComb`; the cell action and the cell form run on
-:func:`tlq.exactnum.packed_products`.
+:class:`tlq.exactnum.LinComb`; the cell action, the cell form and the
+annihilation check sum on :func:`tlq.exactnum.weighted_sums`.
 
 The dimension of the simple head L_t is *defined* computationally as the
 rank of the cell Gram matrix, found by exact elimination over Q(zeta_{2l})
@@ -32,10 +32,12 @@ from .exactnum import (
     CyclotomicField,
     ExactMatrix,
     LinComb,
+    coefficient_plane,
     cyclotomic_field,
-    packed_products,
     plane_rank,
     powers,
+    table_sums,
+    term_products,
 )
 from .tlalg import TLElement, embedded_jones_wenzl
 
@@ -89,14 +91,14 @@ def cell_action(x: TLElement, v: CellVector) -> CellVector:
         return pairing, loops
 
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of v.
-    products = packed_products(
+    products = term_products(
         v.field,
         v.terms,
         powers(v.field.delta, (n - t) // 2),
         x.terms,
         [[combine(dv, dx) for dx in x.terms] for dv in v.terms],
     )
-    return v._like({Diagram._trusted(t, n, pr): c for pr, c in products.items()})
+    return v._like((Diagram._trusted(t, n, pr), c) for pr, c in products.items())
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
 
     stars = {star_pairing(t + n, d.pairing): c for d, c in v.terms.items()}
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of w.
-    products = packed_products(
+    products = term_products(
         v.field,
         stars,
         powers(v.field.delta, (n - t) // 2),
@@ -219,13 +221,15 @@ def annihilation_check(t: int, n: int, level: int) -> bool:
     if n < level - 1:
         raise ValueError("the idempotent needs n >= level - 1")
     ej = embedded_jones_wenzl(level, n)
-    index = diagram_basis(t, n).index
-    gram = gram_matrix(t, n, level).rows
+    field, basis = ej.field, diagram_basis(t, n)
+    # phi(E . D_i, D_j) sums the image's coefficients times delta^e for the
+    # exponents e = cell_exponents[j, s] of the symmetric form.
+    weights = powers(field.delta, (n - t) // 2)
     for d in enumerate_monic(t, n):
         image = cell_action(ej, CellVector.from_diagram(d, level))
-        support = [(index[b.pairing], c) for b, c in image.terms.items()]
-        # phi(E . D_i, D_j) is row j of the symmetric Gram matrix against the image.
-        for row in gram:
-            if sum((c * row[i] for i, c in support if row[i]), ej.field.zero):
-                return False
+        support = [basis.index[b.pairing] for b in image.terms]
+        _, plane, _ = coefficient_plane(field, image.terms.values())
+        sums = table_sums(field, basis.cell_exponents[:, support], plane, weights)
+        if any(block.any() for block in sums):
+            return False
     return True

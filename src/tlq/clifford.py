@@ -6,9 +6,10 @@ Blades are subsets of {1..n} encoded as bitmasks; the reordering sign is the
 parity of the transpositions needed to sort a concatenation, and each
 repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
 :class:`tlq.exactnum.LinComb` whose product runs on
-:func:`tlq.exactnum.packed_products`, with the sign folded into the pair.
-The table of diagram images follows :meth:`tlq.diagram.DiagramBasis.walk`,
-and the dimension of its span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
+:func:`tlq.exactnum.term_products` with the sign folded into the pair, and
+``phi`` sums images by :func:`tlq.exactnum.term_sums`.  The table of images
+follows :meth:`tlq.diagram.DiagramBasis.walk`, and the dimension of its
+span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .exactnum import (
     CycNum,
     CyclotomicField,
     ExactMatrix,
-    KroneckerPacking,
     LinComb,
     cyclotomic_field,
     mod_p_image,
-    packed_products,
     powers,
+    term_products,
+    term_sums,
 )
 from .tlalg import TLElement
 
@@ -45,7 +46,7 @@ def _field() -> CyclotomicField:
 def _mul_basis(j: int, k: int) -> tuple[int, int]:
     """gamma_J gamma_K = +-(1/2)^c gamma_(J^K) as (J^K, c) for the plus sign
     and (J^K, ~c) for the minus sign, the form of a pair in
-    :func:`tlq.exactnum.packed_products`."""
+    :func:`tlq.exactnum.term_products`."""
     swaps = 0
     rest = k
     while rest:
@@ -86,21 +87,15 @@ class BladeElement(LinComb):
             return NotImplemented
         self._check_compatible(other)
         if not self.terms or not other.terms:
-            return self._like({})
+            return self._like(())
         # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
         most_contractions = min(
             max(j.bit_count() for j in self.terms),
             max(k.bit_count() for k in other.terms),
         )
-        return self._like(
-            packed_products(
-                self.field,
-                self.terms,
-                powers(_HALF, most_contractions),
-                other.terms,
-                [[_mul_basis(j, k) for k in other.terms] for j in self.terms],
-            )
-        )
+        hits = [[_mul_basis(j, k) for k in other.terms] for j in self.terms]
+        weights = powers(_HALF, most_contractions)
+        return self._like(term_products(self.field, self.terms, weights, other.terms, hits).items())
 
     def constant_term(self) -> CycNum:
         return self.coefficient(0)
@@ -166,21 +161,11 @@ def phi(x: TLElement) -> BladeElement:
     algebra, determined by the generator images."""
     if x.field.level != _LEVEL:
         raise ValueError("phi is defined at level 4")
-    out = BladeElement.zero(x.n)
     if not x.terms:
-        return out
+        return BladeElement.zero(x.n)
     table, index = _phi_table(x.n), diagram_basis(0, 2 * x.n).index
     images = [table[index[d.pairing]].terms for d in x.terms]
-    # A blade takes at most one product from each diagram of x.
-    pack = KroneckerPacking(
-        out.field, x.terms.values(), [c for img in images for c in img.values()], len(images)
-    )
-    ys = iter(pack.y)
-    acc: dict[int, int] = {}
-    for xi, img in zip(pack.x, images):
-        for mask, y in zip(img, ys):
-            acc[mask] = acc.get(mask, 0) + xi * y
-    return out._like({mask: pack.unpack(total) for mask, total in acc.items()})
+    return BladeElement(x.n)._like(term_sums(x.field, x.terms.values(), images).items())
 
 
 def even_masks(n: int) -> tuple[int, ...]:

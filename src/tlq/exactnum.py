@@ -11,20 +11,15 @@ Galois conjugates over the (checked) rational norm, ``poly_divexact`` is
 the one integer polynomial long division, ``from_q_poly`` evaluates an
 integer polynomial in q^2 (times a power of q) by summing table rows, and
 ``mod_p_image`` is the one reduction of the field into GF(p).
-Long sums of products run on ``KroneckerPacking``: each coefficient vector
-is packed into one integer, so one integer multiply-add does a whole
-polynomial product and sum.
 
-``LinComb`` is the one linear-combination type (elements of TL_n, cell
-vectors, Clifford blades): it owns sums, scalar multiples and comparisons,
-and ``packed_products`` is the one packed product loop over pairs of terms,
-each pair's result key and weight index supplied by the caller.
-Exact rank (``plane_rank``) eliminates on integer coefficient planes: int64
-while a bound checked before each update stays below 2^62, Python integers after
-(``int_dtype`` is that rule).  ``coefficient_plane`` turns CycNums into one
-plane over a common denominator, ``plane_products`` multiplies rows pairwise,
-and ``power_planes`` multiplies by x^0 .. x^L, so that a sum weighted by
-powers of x is one contraction.
+Many numbers at once are integer coefficient planes over a common
+denominator (``coefficient_plane``), int64 while a bound checked before the
+work stays below 2^62 (``int_dtype``).  ``plane_rank`` is exact rank on
+them, and ``weighted_sums`` the one step for every sum of products (the
+``TL_n`` product, trace and kill check, the cell action and form, the blade
+product, phi): rows scatter-added per (slot, weight), then contracted once
+with the weight planes; ``pair_sums``, ``term_products``, ``term_sums`` and
+``table_sums`` feed it.  ``LinComb`` is the one linear-combination type.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -36,7 +31,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -371,7 +365,7 @@ class CycNum:
 
 @lru_cache(maxsize=None)
 def powers(x: CycNum, upto: int) -> tuple[CycNum, ...]:
-    """x^0, x^1, ..., x^upto: the weights of the packed products."""
+    """x^0, x^1, ..., x^upto: the weights of loop counts and contractions."""
     out = [x.field.one]
     for _ in range(upto):
         out.append(out[-1] * x)
@@ -417,81 +411,98 @@ def mod_p_image(level: int, p: int) -> Callable[[CycNum], int]:
 
 
 # ---------------------------------------------------------------------------
-# Packed multiply-accumulate (Kronecker substitution)
+# Exact sums of products on integer coefficient planes
 # ---------------------------------------------------------------------------
 
-
-def _kronecker_width(xmax: int, ymax: int, pairs: int, degree: int) -> int:
-    """Digit width in bits that holds any sum of ``pairs`` products x*y with
-    numerators bounded by ``xmax`` and ``ymax``.
-
-    A digit of one product is a sum of at most ``degree`` terms x_i*y_j, so a
-    digit of the sum is below pairs*degree*xmax*ymax < 2^(w-2) in absolute
-    value, and balanced digits need only < 2^(w-1).
-    """
-    return xmax.bit_length() + ymax.bit_length() + (pairs * degree).bit_length() + 2
+# Pairs multiplied at once by pair_sums: a block is one (pairs, degree) plane.
+_PAIR_BLOCK = 4096
 
 
-def _common_numerators(values: Collection[CycNum]) -> tuple[int, list[list[int]]]:
-    den = math.lcm(*(c.den for c in values))
-    return den, [[v * (den // c.den) for v in c.num] for c in values]
+def rows_per_block(width: int) -> int:
+    """Rows of ``width`` entries that make one block of about _PAIR_BLOCK."""
+    return max(1, _PAIR_BLOCK // max(1, width))
 
 
-def _pack(num: list[int], width: int) -> int:
-    out = 0
-    for v in reversed(num):
-        out = (out << width) + v
-    return out
+def sums_dtype(weights: tuple[int, np.ndarray, int], bound: int):
+    """The integer type of :func:`weighted_sums` on ``weights`` when
+    ``bound`` bounds every accumulated coefficient, checked before any work:
+    int64 while the contracted sums stay below 2^62 (the last plane is
+    zero), Python integers otherwise."""
+    _, planes, top = weights
+    return int_dtype(bound * top * (len(planes) - 1) * planes.shape[-1])
 
 
-class KroneckerPacking:
-    """Exact sums of products x*y of CycNums as sums of Python integers.
+def weighted_sums(field: CyclotomicField, nslots: int, weights, dtype, blocks) -> np.ndarray:
+    """out[s] = sum of v * w_l over the entries (s, l, v) of ``blocks``, an
+    integer plane of shape (nslots, degree) over the denominator of the
+    ``weights`` of :func:`weight_planes`: the one exact product-sum step.
 
-    Each numerator of ``xs`` (over their common denominator) and of ``ys``
-    (over theirs) becomes one integer with a coefficient per base-2^w digit
-    (D. Harvey, J. Symb. Comput. 44, 2009): one integer product is then one
-    polynomial product, and integers add like polynomials.  ``x`` and ``y``
-    hold the packed values in input order; :meth:`unpack` turns any integer
-    sum of at most ``pairs`` products ``x[i] * y[j]`` back into a CycNum.
-    """
-
-    __slots__ = ("field", "den", "width", "x", "y")
-
-    def __init__(
-        self,
-        field: CyclotomicField,
-        xs: Collection[CycNum],
-        ys: Collection[CycNum],
-        pairs: int,
-    ):
-        dx, nx = _common_numerators(xs)
-        dy, ny = _common_numerators(ys)
-        xmax = max(map(abs, chain.from_iterable(nx)), default=0)
-        ymax = max(map(abs, chain.from_iterable(ny)), default=0)
-        self.field = field
-        self.den = dx * dy
-        self.width = _kronecker_width(xmax, ymax, pairs, field.degree)
-        self.x = [_pack(num, self.width) for num in nx]
-        self.y = [_pack(num, self.width) for num in ny]
-
-    def unpack(self, total: int) -> CycNum:
-        """The CycNum of a sum of packed products, reduced and normalized."""
-        width = self.width
-        mask = (1 << width) - 1
-        half = 1 << (width - 1)
-        prod = []
-        for _ in range(2 * self.field.degree - 1):
-            digit = total & mask
-            if digit >= half:
-                digit -= 1 << width
-            prod.append(digit)
-            total = (total - digit) >> width
-        if total:
-            raise ArithmeticError("packed sum overflowed its top digit")
-        return CycNum._make(self.field, self.den, self.field._reduce(prod))
+    A block is arrays (slot, l, values), values of the shape of slot and l
+    broadcast together, plus (degree,).  Each v is scatter-added to the
+    accumulator row of (s, l), and the accumulator is contracted once with
+    the planes.  Slot -1 (the drop slot) or weight index -1 (the zero
+    weight), not both, drops an entry: its flat index lands in a spare last
+    slot, or on the zero weight of the slot before."""
+    planes, d = weights[1], field.degree
+    width = len(planes)
+    # acc[(s * width + l) * d + k] is coefficient k of the sum for (s, l).
+    acc = np.zeros((nslots + 1) * width * d, dtype=dtype)
+    for slot, loops, values in blocks:
+        flat = (slot * width + loops).reshape(-1, 1) * d + np.arange(d)
+        np.add.at(acc, flat.ravel(), values.ravel())
+    return (acc.reshape(nslots + 1, width * d) @ planes.reshape(width * d, d))[:nslots]
 
 
-def packed_products(
+def pair_sums(field: CyclotomicField, xs, ys, nslots: int, weights, keys) -> tuple[int, np.ndarray]:
+    """Sums of x_i * y_j * w_l over the pairs (i, j) of the CycNums xs, ys
+    that ``keys(rows)`` sends to (s, l), as a common denominator and a
+    plane of :func:`weighted_sums`: ``keys`` gives (slot, l) arrays of
+    shape (rows, len(ys)) for a slice of the rows of xs, and their products
+    are formed one block at a time."""
+    (dx, a, ta), (dy, b, tb) = coefficient_plane(field, xs), coefficient_plane(field, ys)
+    # Each accumulated coefficient sums at most one product per pair.
+    dtype = sums_dtype(weights, ta * tb * field._mult_bound * len(a) * len(b))
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    step = rows_per_block(len(b))
+    blocks = (
+        (*keys(slice(i, i + step)), plane_products(field, a[i : i + step], b))
+        for i in range(0, len(a), step)
+    )
+    return dx * dy * weights[0], weighted_sums(field, nslots, weights, dtype, blocks)
+
+
+def term_sums(field: CyclotomicField, xs, images: Sequence[Mapping]) -> dict:
+    """sum of x_i * images[i] for CycNums xs and mappings images of keys to
+    CycNums: each x_i times its image's coefficients in one row-wise
+    product, summed per key by :func:`weighted_sums` with the weight one."""
+    slots: dict[Hashable, int] = {}
+    slot = np.array([slots.setdefault(k, len(slots)) for img in images for k in img], dtype=np.intp)
+    rows = np.repeat(np.arange(len(images)), [len(img) for img in images])
+    dx, a, ta = coefficient_plane(field, xs)
+    dy, b, tb = coefficient_plane(field, [c for img in images for c in img.values()])
+    weights = weight_planes((field.one,))
+    dtype = sums_dtype(weights, ta * tb * field._mult_bound * len(b))
+    a, b = a[rows].astype(dtype, copy=False), b.astype(dtype, copy=False)
+    values = (b[:, None, :] @ _times(field, a))[:, 0]
+    sums = weighted_sums(field, len(slots), weights, dtype, [(slot, np.zeros_like(slot), values)])
+    return {key: field.from_coeffs(dx * dy, row) for key, row in zip(slots, sums.tolist())}
+
+
+def table_sums(field: CyclotomicField, table: np.ndarray, plane: np.ndarray, weights: tuple):
+    """Yields, for one block of rows j at a time, the sums over s of
+    plane[s] * weights[table[j, s]] for an exponent table (-1 reads the zero
+    weight), planes of :func:`weighted_sums` over the denominators of plane
+    and weights."""
+    planes = weight_planes(weights)
+    dtype = sums_dtype(planes, maxabs(plane) * table.shape[1])
+    step = rows_per_block(table.shape[1])
+    for i in range(0, len(table), step):
+        block = table[i : i + step]
+        entries = np.arange(len(block))[:, None], block, plane[None].repeat(len(block), axis=0)
+        yield weighted_sums(field, len(block), planes, dtype, [entries])
+
+
+def term_products(
     field: CyclotomicField,
     xterms: Mapping[Hashable, CycNum],
     weights: Sequence[CycNum],
@@ -503,25 +514,23 @@ def packed_products(
     ``hits`` holds one row per x term and one entry per y term, both in the
     order of the mappings: ``(key, l)`` when the pair adds
     ``x * weights[l] * y`` to ``key``, ``(key, ~l)`` when it adds the
-    negated product, and None when it adds nothing.  ``weights[0]`` is one.
-    Every x is multiplied by every weight once and packed with its negation,
-    so a pair costs one integer multiply-add and a result key one unpack.
-    """
+    negated product, and None when it adds nothing.  Each key becomes a
+    slot of :func:`pair_sums` and None the drop slot."""
     if not xterms or not yterms:
         return {}
-    xs = [c * w if l else c for c in xterms.values() for l, w in enumerate(weights)]
-    pack = KroneckerPacking(field, xs, yterms.values(), len(xterms) * len(yterms))
-    stride = len(weights)
-    neg = [-v for v in pack.x]
-    acc: dict[Hashable, int] = {}
-    for start, row in zip(range(0, len(xs), stride), hits):
-        # Index ~l of xrow reads the negated product -x * weights[l].
-        xrow = pack.x[start : start + stride] + neg[start : start + stride][::-1]
-        for hit, y in zip(row, pack.y):
-            if hit is not None:
-                key, l = hit
-                acc[key] = acc.get(key, 0) + xrow[l] * y
-    return {key: pack.unpack(total) for key, total in acc.items()}
+    slots: dict[Hashable, int] = {}
+    # ~l = -1 - l reads -w_l: the signed planes hold w_0 .. w_L, -w_L .. -w_0.
+    span = 2 * len(weights)
+    keyed = [
+        (-1, 0) if hit is None else (slots.setdefault(hit[0], len(slots)), hit[1] % span)
+        for row in hits for hit in row
+    ]
+    slot, index = np.array(keyed, dtype=np.intp).reshape(len(xterms), -1, 2).transpose(2, 0, 1)
+    signed = weight_planes(tuple(weights), True)
+    den, sums = pair_sums(
+        field, xterms.values(), yterms.values(), len(slots), signed, lambda r: (slot[r], index[r])
+    )
+    return {key: field.from_coeffs(den, row) for key, row in zip(slots, sums.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +572,13 @@ class LinComb:
         if other._kind() != self._kind():
             raise ValueError(f"cannot combine {self._kind()} with {other._kind()}")
 
-    def _like(self, terms: Mapping):
-        """A combination in this space from keys that are valid by
-        construction; zero coefficients are dropped."""
+    def _like(self, pairs: Iterable):
+        """A combination in this space from (key, coefficient) pairs whose
+        keys are valid by construction and distinct; zero coefficients are
+        dropped."""
         out = object.__new__(type(self))
         out.space, out.field = self.space, self.field
-        out.terms = {key: c for key, c in terms.items() if c}
+        out.terms = {key: c for key, c in pairs if c}
         return out
 
     def coefficient(self, key) -> CycNum:
@@ -596,16 +606,16 @@ class LinComb:
         for key, c in other.terms.items():
             s = out.get(key)
             out[key] = c if s is None else s + c
-        return self._like(out)
+        return self._like(out.items())
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self._like((key, -c) for key, c in self.terms.items())
 
     def __sub__(self, other: LinComb):
         return self + (-other)
 
     def scale(self, scalar: int | Fraction | CycNum):
-        return self._like({key: c * scalar for key, c in self.terms.items()})
+        return self._like((key, c * scalar) for key, c in self.terms.items())
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction, CycNum)):
@@ -643,9 +653,8 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank by :func:`plane_rank`, each row over its own denominator."""
-        planes = np.array([_common_numerators(r)[1] for r in self.rows], dtype=object)
-        planes = planes.reshape(self.nrows, self.ncols, self.field.degree)
-        return plane_rank(self.field, planes.astype(int_dtype(maxabs(planes))))
+        planes = [coefficient_plane(self.field, r)[1] for r in self.rows]
+        return plane_rank(self.field, np.stack(planes)) if planes else 0
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols}, level={self.field.level})"
@@ -662,33 +671,42 @@ def int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def coefficient_plane(field: CyclotomicField, values: Collection[CycNum]) -> tuple[int, np.ndarray]:
-    """The common denominator of ``values`` and their numerators as an integer
-    plane of shape (len(values), degree), int64 when every entry fits."""
-    den, nums = _common_numerators(values)
+def coefficient_plane(field: CyclotomicField, values: Collection[CycNum]) -> tuple[int, np.ndarray, int]:
+    """The common denominator of ``values``, their numerators as an integer
+    plane of shape (len(values), degree), int64 when every entry fits, and
+    its :func:`maxabs`."""
+    den = math.lcm(*(c.den for c in values))
+    nums = [c.num if c.den == den else [v * (den // c.den) for v in c.num] for c in values]
     plane = np.array(nums, dtype=object).reshape(len(nums), field.degree)
-    return den, plane.astype(int_dtype(maxabs(plane)))
+    top = maxabs(plane)
+    return den, plane.astype(int_dtype(top)), top
 
 
 def plane_products(field: CyclotomicField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """out[i, j] = x[i] * y[j] for coefficient rows x (k, d) and y (c, d)."""
-    return y @ np.tensordot(x, field._mult, axes=(1, 0))
+    return y @ _times(field, x)
+
+
+def _times(field: CyclotomicField, x: np.ndarray) -> np.ndarray:
+    """out[i] = the (d, d) matrix of multiplication by x[i]: y @ out[i] = x[i] * y."""
+    d = field.degree
+    return (x @ field._mult.reshape(d, d * d)).reshape(len(x), d, d)
 
 
 @lru_cache(maxsize=None)
-def power_planes(x: CycNum, upto: int) -> np.ndarray:
-    """out[l, j] = zeta^j * x^l for l = 0 .. upto, integer rows of shape
-    (upto + 1, degree, degree), for an x with integer coefficients: a plane
-    acc (k, upto + 1, degree) of coefficients of x^l is summed to k values by
-    acc.reshape(k, -1) @ out.reshape(-1, degree)."""
-    field = x.field
-    if x.den != 1:
-        raise ValueError("power planes need integer coefficients")
-    rows = np.array([c.num for c in powers(x, upto)], dtype=object)
+def weight_planes(weights: tuple[CycNum, ...], signed: bool = False) -> tuple[int, np.ndarray, int]:
+    """The common denominator of ``weights``, integer planes out[l, j] =
+    zeta^j * w_l over it and their largest absolute entry: the weights of
+    :func:`weighted_sums`, the numerators of ``weights``, then if ``signed``
+    their negations in reverse order, then zero."""
+    field = weights[0].field
+    den, rows, _ = coefficient_plane(field, weights)
+    negated = -rows[::-1] if signed else rows[:0]
+    rows = np.concatenate((rows, negated, np.zeros((1, field.degree), dtype=object)))
     out = plane_products(field, rows, np.eye(field.degree, dtype=object))
     out = out.astype(int_dtype(maxabs(out)))
     out.setflags(write=False)
-    return out
+    return den, out, maxabs(out)
 
 
 def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:

@@ -9,17 +9,17 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 factor of delta = -(q + 1/q).
 
 ``TLElement`` is a :class:`tlq.exactnum.LinComb`.  Its product, its trace
-and the check that the trace kills the Jones-Wenzl ideal share one step on
-integer coefficient planes over a common denominator, the fraction-free
-pattern of :func:`tlq.exactnum.plane_rank`: each coefficient is
-scatter-added to the accumulator row of (result, loop count), and one
-contraction with the planes of delta^0 .. delta^L gives every result.  A
-product's pairs are multiplied in blocks; up to n = ``PRODUCTS_MAX_N`` their
-results and loop counts come from the product table of
-``diagram_basis(0, 2n)`` and the trace's closure loops from the identity's
-row of its trace table.  Past it each pair is composed and each closure is
-walked, so neither the product nor the trace enumerates the basis and both
-work at any n.
+and the check that the trace kills the Jones-Wenzl ideal sum on integer
+coefficient planes by :func:`tlq.exactnum.weighted_sums`, the one exact
+product-sum step: each coefficient is scatter-added to the accumulator row
+of (result, loop count), and one contraction with the planes of
+delta^0 .. delta^L gives every result.  Up to n = ``PRODUCTS_MAX_N`` a
+product's pairs are multiplied in blocks (:func:`tlq.exactnum.pair_sums`),
+their results and loop counts read from the product table of
+``diagram_basis(0, 2n)``, and the trace reads its closure loops from the
+identity's row of its trace table.  Past it each pair is composed for
+:func:`tlq.exactnum.term_products` and each closure is walked, so neither
+the product nor the trace enumerates the basis and both work at any n.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -65,19 +65,17 @@ from .exactnum import (
     LinComb,
     coefficient_plane,
     cyclotomic_field,
-    int_dtype,
-    maxabs,
     mod_p_image,
-    plane_products,
-    power_planes,
+    pair_sums,
     powers,
     quantum_int,
+    rows_per_block,
+    sums_dtype,
+    table_sums,
+    term_products,
+    weight_planes,
+    weighted_sums,
 )
-
-
-# Pairs multiplied at once by a product, and trace-table entries read at
-# once by the ideal check: a block is one (entries, degree) integer plane.
-_PAIR_BLOCK = 4096
 
 
 class TLElement(LinComb):
@@ -124,109 +122,53 @@ class TLElement(LinComb):
             return NotImplemented
         self._check_compatible(other)
         if not self.terms or not other.terms:
-            return self._like({})
+            return self._like(())
         n, field = self.n, self.field
         # "apply y, then x": stack x on top of y, as the table's D_i D_j does.
-        if n <= PRODUCTS_MAX_N:
-            basis = diagram_basis(0, 2 * n)
-            targets, loops = basis.products
-            px = np.array([basis.index[d.pairing] for d in self.terms], dtype=np.intp)
-            py = np.array([basis.index[d.pairing] for d in other.terms], dtype=np.intp)
-            step = _rows_per_block(len(py))
-            hit = np.zeros(len(basis.pairings), dtype=bool)
-            most_loops = 0
-            for i in range(0, len(px), step):
-                block = np.ix_(px[i : i + step], py)
-                hit[targets[block]] = True
-                most_loops = max(most_loops, int(loops[block].max()))
-            slot = np.cumsum(hit) - 1
-            results = [basis.pairings[k] for k in np.flatnonzero(hit).tolist()]
-
-            def keys(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-                block = np.ix_(px[rows], py)
-                return slot[targets[block]], loops[block]
-        else:
-            slots: dict[tuple[int, ...], int] = {}
-            hits = [
+        if n > PRODUCTS_MAX_N:
+            # A loop closed in the glued row passes through two of its n points.
+            hits = (
                 [compose_pairings(n, n, n, dy.pairing, dx.pairing) for dy in other.terms]
                 for dx in self.terms
-            ]
-            slot = np.array([[slots.setdefault(pr, len(slots)) for pr, _ in row] for row in hits])
-            loops = np.array([[l for _, l in row] for row in hits])
-            most_loops, results = int(loops.max()), list(slots)
+            )
+            products = term_products(field, self.terms, powers(field.delta, n // 2), other.terms, hits)
+            return self._like((Diagram._trusted(n, n, pr), c) for pr, c in products.items())
+        basis = diagram_basis(0, 2 * n)
+        targets, loops = basis.products
+        px = np.array([basis.index[d.pairing] for d in self.terms], dtype=np.intp)
+        py = np.array([basis.index[d.pairing] for d in other.terms], dtype=np.intp)
+        step = rows_per_block(len(py))
+        hit = np.zeros(len(basis.pairings), dtype=bool)
+        most_loops = 0
+        for i in range(0, len(px), step):
+            block = np.ix_(px[i : i + step], py)
+            hit[targets[block]] = True
+            most_loops = max(most_loops, int(loops[block].max()))
+        slot = np.cumsum(hit) - 1
+        results = np.flatnonzero(hit).tolist()
 
-            def keys(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-                return slot[rows], loops[rows]
+        def keys(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            block = np.ix_(px[rows], py)
+            return slot[targets[block]], loops[block]
 
-        dx, a = coefficient_plane(field, self.terms.values())
-        dy, b = coefficient_plane(field, other.terms.values())
-        sums = _pair_sums(field, a, b, len(results), most_loops, keys)
-        return self._like({
-            Diagram._trusted(n, n, pr): field.from_coeffs(dx * dy, row)
-            for pr, row in zip(results, sums.tolist())
-        })
+        weights = weight_planes(powers(field.delta, most_loops))
+        den, sums = pair_sums(
+            field, self.terms.values(), other.terms.values(), len(results), weights, keys
+        )
+        return self._like(
+            (Diagram._trusted(n, n, basis.pairings[k]), field.from_coeffs(den, row))
+            for k, row in zip(results, sums.tolist())
+        )
 
     def star(self) -> TLElement:
         """The * anti-automorphism: reflect every diagram, keep coefficients."""
-        return self._like({star(d): c for d, c in self.terms.items()})
+        return self._like((star(d), c) for d, c in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = [f"({c!r})*{d.pairing}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].pairing)]
         return " + ".join(parts)
-
-
-def _rows_per_block(width: int) -> int:
-    """Rows of ``width`` entries that make one block of about _PAIR_BLOCK."""
-    return max(1, _PAIR_BLOCK // width)
-
-
-def _sums_dtype(field: CyclotomicField, most_loops: int, bound: int):
-    """The integer type of :func:`_delta_sums` when ``bound`` bounds every
-    accumulated coefficient, checked before any work: int64 while the
-    contracted sums stay below 2^62, Python integers otherwise."""
-    weights = power_planes(field.delta, most_loops)
-    return int_dtype(bound * maxabs(weights) * (most_loops + 1) * field.degree)
-
-
-def _delta_sums(
-    field: CyclotomicField, nslots: int, most_loops: int, dtype, blocks
-) -> np.ndarray:
-    """out[s] = sum of v * delta^l over the entries (s, l, v) of ``blocks``,
-    as an integer plane of shape (nslots, degree).
-
-    Each block is arrays (slot, loops, values), values of shape
-    slot.shape + (degree,) and of type ``dtype``.  Each v is scatter-added
-    to the accumulator row of (s, l), and the accumulator is contracted once
-    with the planes of delta^0 .. delta^most_loops."""
-    width, d = most_loops + 1, field.degree
-    weights = power_planes(field.delta, most_loops)
-    # acc[(s * width + l) * d + k] is coefficient k of the sum for (s, l).
-    acc = np.zeros(nslots * width * d, dtype=dtype)
-    for slot, loops, values in blocks:
-        flat = (slot * width + loops).reshape(-1, 1) * d + np.arange(d)
-        np.add.at(acc, flat.ravel(), values.ravel())
-    return acc.reshape(nslots, width * d) @ weights.reshape(width * d, d)
-
-
-def _pair_sums(
-    field: CyclotomicField, a: np.ndarray, b: np.ndarray, nslots: int, most_loops: int, keys
-) -> np.ndarray:
-    """out[s] = sum of a_i * b_j * delta^l over the pairs (i, j) that
-    ``keys(rows)`` sends to (s, l): it gives (slot, loops) arrays of shape
-    (rows, len(b)) for a slice of the rows of the coefficient plane a.  The
-    pair products are formed one block of rows at a time."""
-    # Each accumulated coefficient sums at most one product per pair.
-    bound = maxabs(a) * maxabs(b) * field._mult_bound * len(a) * len(b)
-    dtype = _sums_dtype(field, most_loops, bound)
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    step = _rows_per_block(len(b))
-    blocks = (
-        (*keys(slice(i, i + step)), plane_products(field, a[i : i + step], b))
-        for i in range(0, len(a), step)
-    )
-    return _delta_sums(field, nslots, most_loops, dtype, blocks)
 
 
 @lru_cache(maxsize=None)
@@ -272,10 +214,10 @@ def jones_trace(x: TLElement) -> CycNum:
         closure = np.array([closure_loops(n, d.pairing) for d in x.terms], dtype=np.intp)
     # Coefficients are summed per loop count c <= n, and each sum is
     # multiplied by delta^c in one contraction.
-    den, plane = coefficient_plane(field, x.terms.values())
-    dtype = _sums_dtype(field, n, maxabs(plane) * len(plane))
-    blocks = [(np.zeros_like(closure), closure, plane.astype(dtype, copy=False))]
-    total = _delta_sums(field, 1, n, dtype, blocks)[0]
+    den, plane, top = coefficient_plane(field, x.terms.values())
+    weights = weight_planes(powers(field.delta, n))
+    dtype = sums_dtype(weights, top * len(plane))
+    total = weighted_sums(field, 1, weights, dtype, [(np.zeros_like(closure), closure, plane)])[0]
     return field.from_coeffs(den, total.tolist()) * _delta_inverse_power(field, n)
 
 
@@ -365,22 +307,13 @@ def _assert_trace_kills_ideal(level: int, n: int):
     ej = embedded_jones_wenzl(level, n)
     field, basis = ej.field, diagram_basis(0, 2 * n)
     cols = basis.star[[basis.index[d.pairing] for d in ej.terms]]
-    _, plane = coefficient_plane(field, ej.terms.values())
-    dtype = _sums_dtype(field, n, maxabs(plane) * len(cols))
-    plane = plane.astype(dtype, copy=False)
+    _, plane, _ = coefficient_plane(field, ej.terms.values())
     # tr(E y) = delta^(-n) sum_e c_e delta^T[y, e] for the symmetric trace
     # table T, whose entries are at most n; E's columns of T are the meander
-    # matrix read at the star of each E diagram.  Row y of T sends c_e to
-    # slot y with loop count T[y, e].
-    step = _rows_per_block(len(cols))
-    for i in range(0, len(basis.pairings), step):
-        expo = basis.cell_exponents[i : i + step, cols]
-        slot = np.broadcast_to(np.arange(len(expo))[:, None], expo.shape)
-        values = np.broadcast_to(plane, expo.shape + plane.shape[1:])
-        if (_delta_sums(field, len(expo), n, dtype, [(slot, expo, values)]) != 0).any():
-            raise ArithmeticError(
-                f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
-            )
+    # matrix read at the star of each E diagram.
+    sums = table_sums(field, basis.cell_exponents[:, cols], plane, powers(field.delta, n))
+    if any(block.any() for block in sums):
+        raise ArithmeticError(f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated")
 
 
 def _ideal_span_rank_modp(

@@ -13,11 +13,12 @@ import numpy as np
 
 from tlq import tlalg
 from tlq.cellrep import CellVector
-from tlq.clifford import BladeElement, _field
+from tlq.clifford import BladeElement, _field, phi_generator
 from tlq.diagram import (
     Diagram,
     closure_loops,
     compose_pairings,
+    diagram_basis,
     generator_diagram,
     generator_pairing,
     identity_pairing,
@@ -30,9 +31,7 @@ from tlq.exactnum import (
     CycNum,
     CyclotomicField,
     ExactMatrix,
-    KroneckerPacking,
     cyclotomic_field,
-    powers,
 )
 from tlq.tlalg import TLElement
 
@@ -128,7 +127,7 @@ def quantum_int_by_ratio(m: int, level: int) -> CycNum:
 
 def tl_product(x: TLElement, y: TLElement) -> TLElement:
     """x * y in TL_n with one CycNum product and one validated Diagram per
-    diagram pair; the reference for the packed product."""
+    diagram pair; the reference for the product on coefficient planes."""
     n = x.n
     delta_pow = _delta_powers(x.field, n)
     out = {}
@@ -147,7 +146,7 @@ def tl_product(x: TLElement, y: TLElement) -> TLElement:
 
 def markov_trace(x: TLElement) -> CycNum:
     """The Markov trace with one CycNum product per term and a fresh
-    delta^(-n); the reference for the packed trace."""
+    delta^(-n); the reference for the trace on coefficient planes."""
     n = x.n
     field = x.field
     total = field.zero
@@ -183,7 +182,8 @@ def q_poly_by_powers(field: CyclotomicField, shift: int, coeffs: list[int]) -> C
 
 
 # The three loops below are the cell action, the cell form and the blade
-# product as each type computed them before the shared packed product loop.
+# product with one CycNum product per pair of terms, the references for the
+# shared product-sum step.
 
 
 def cell_action(x: TLElement, v: CellVector) -> CellVector:
@@ -240,31 +240,38 @@ def _mul_basis(j: int, k: int) -> tuple[int, int, int]:
 
 
 def blade_product(self: BladeElement, other: BladeElement) -> BladeElement:
-    """The blade product with its own packed loop and the sign applied as an
-    integer factor per pair."""
+    """The blade product with one CycNum product per pair of blades and the
+    sign applied as an integer factor."""
     if self.n != other.n:
         raise ValueError("generator count mismatch")
-    if not self.terms or not other.terms:
-        return BladeElement(self.n)
-    # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
-    most_contractions = min(
-        max(j.bit_count() for j in self.terms),
-        max(k.bit_count() for k in other.terms),
-    )
-    halves = _half_powers(most_contractions)
-    xs = [c * h if e else c for c in self.terms.values() for e, h in enumerate(halves)]
-    pack = KroneckerPacking(
-        _field(), xs, other.terms.values(), len(self.terms) * len(other.terms)
-    )
-    stride = len(halves)
-    yterms = list(zip(other.terms, pack.y))
-    acc: dict[int, int] = {}
-    for j, i in zip(self.terms, range(0, len(xs), stride)):
-        xrow = pack.x[i : i + stride]
-        for k, yk in yterms:
+    halves = _half_powers(self.n)
+    out: dict[int, CycNum] = {}
+    for j, cj in self.terms.items():
+        for k, ck in other.terms.items():
             mask, sign, contractions = _mul_basis(j, k)
-            acc[mask] = acc.get(mask, 0) + sign * xrow[contractions] * yk
-    return BladeElement(self.n, {m: pack.unpack(t) for m, t in acc.items()})
+            c = cj * ck * halves[contractions] * sign
+            s = out.get(mask)
+            out[mask] = c if s is None else s + c
+    return BladeElement(self.n, out)
+
+
+def phi(x: TLElement) -> BladeElement:
+    """The level-4 homomorphism with each diagram image built by
+    :func:`blade_product` along the generator walk and one CycNum product
+    per (diagram, blade) term."""
+    n = x.n
+    basis = diagram_basis(0, 2 * n)
+    start = basis.index[identity_pairing(n)]
+    images = [phi_generator(n, i) for i in range(1, n)]
+    table = {start: BladeElement.one(n)}
+    for i, move, k in basis.walk(start, basis.generator_maps[::2]):
+        table[k] = blade_product(images[move], table[i])
+    out: dict[int, CycNum] = {}
+    for d, c in x.terms.items():
+        for mask, b in table[basis.index[d.pairing]].terms.items():
+            s = out.get(mask)
+            out[mask] = c * b if s is None else s + c * b
+    return BladeElement(n, out)
 
 
 # The inverse in Q(zeta) as CycNum.inverse computed it before the Galois norm:
@@ -426,17 +433,16 @@ def assert_trace_kills_ideal(level: int, n: int):
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
     field = cyclotomic_field(level)
     ej = tlalg.embedded_jones_wenzl(level, n)
-    eterms = [d.pairing for d in ej.terms]
     # The closure of y E has at most n loops (each passes through two of its
-    # 2n points); the E coefficients are packed against delta^0..delta^n once.
-    pack = KroneckerPacking(field, ej.terms.values(), powers(field.delta, n), len(eterms))
+    # 2n points).
+    pw = _delta_powers(field, n)
     for y in tl_pairings(n):
-        total = 0
-        for pe, xe in zip(eterms, pack.x):
-            pairing, loops = compose_pairings(n, n, n, y, pe)
-            total += xe * pack.y[loops + closure_loops(n, pairing)]
+        total = field.zero
+        for de, ce in ej.terms.items():
+            pairing, loops = compose_pairings(n, n, n, y, de.pairing)
+            total = total + ce * pw[loops + closure_loops(n, pairing)]
         # tr(E y) is this sum times delta^(-n), so it vanishes with the sum.
-        if pack.unpack(total):
+        if total:
             raise ArithmeticError(
                 f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
             )

@@ -21,7 +21,6 @@ from tlq.diagram import Diagram, hook_poly, nesting_forest
 from tlq.exactnum import (
     CycNum,
     ExactMatrix,
-    KroneckerPacking,
     cyclotomic_field,
     cyclotomic_polynomial,
     mod_p_image,
@@ -307,62 +306,17 @@ def test_trace_gram_rank_example():
     assert trace_gram_matrix(4, 4).rank() == 8
 
 
-@pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("sign", (1, -1))
-def test_kronecker_worst_case_digit(level, sign):
-    # Every product puts degree * top^2 into the middle digit, all with one
-    # sign, and all nx * ny of them land in one sum: the width bound is met.
-    field = cyclotomic_field(level)
-    top = 2**80 - 1
-    x = field.from_coeffs(1, [sign * top] * field.degree)
-    y = field.from_coeffs(1, [top] * field.degree)
-    nx, ny = 5, 7
-    pack = KroneckerPacking(field, [x] * nx, [y] * ny, nx * ny)
-    total = sum(xi * yj for xi in pack.x for yj in pack.y)
-    assert pack.unpack(total) == x * y * (nx * ny)
-
-
-@pytest.mark.parametrize("level", LEVELS)
-def test_kronecker_sums_match_cycnum_arithmetic(level):
-    field = cyclotomic_field(level)
-    rng = random.Random(level)
-
-    def value():
-        den = rng.choice((1, 2, 9, 35, 2**61 - 1))
-        return field.from_coeffs(den, [rng.randint(-(2**90), 2**90) for _ in range(field.degree)])
-
-    xs = [value() for _ in range(6)] + [field.zero]
-    ys = [value() for _ in range(5)]
-    pairs = [(rng.randrange(len(xs)), rng.randrange(len(ys))) for _ in range(20)]
-    pack = KroneckerPacking(field, xs, ys, len(pairs))
-    expected = field.zero
-    for i, j in pairs:
-        expected = expected + xs[i] * ys[j]
-    assert pack.unpack(sum(pack.x[i] * pack.y[j] for i, j in pairs)) == expected
-    # A sum that cancels comes back as the normalized zero.
-    assert pack.unpack(pack.x[0] * pack.y[0] - pack.x[0] * pack.y[0]) == field.zero
-    assert pack.unpack(0).den == 1
-
-
-def test_kronecker_overflow_raises(monkeypatch):
-    field = cyclotomic_field(5)
-    x = field.from_coeffs(1, [0] * (field.degree - 1) + [2**40])
-    monkeypatch.setattr(exactnum, "_kronecker_width", lambda xmax, ymax, pairs, degree: 41)
-    pack = KroneckerPacking(field, [x], [x], 1)
-    # x^2 = 2^80 z^(2d-2) does not fit the top digit of width 41.
-    with pytest.raises(ArithmeticError):
-        pack.unpack(pack.x[0] * pack.y[0])
-
-
 def test_packing_checks_hold_under_python_O():
-    # The exactness checks here, the table-based kill check of radical_split,
-    # its retry paths and the guards of the cell-form, product and phi walks
-    # must all raise without the help of assert.
+    # The exactness checks here, the int64 bounds of the product-sum step,
+    # the table-based kill check of radical_split, its retry paths and the
+    # guards of the cell-form, product and phi walks must all raise without
+    # the help of assert.
     root = Path(__file__).resolve().parents[1]
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
-        (Path(__file__).resolve(), "kronecker or inverse or norm or divexact or plane_rank"),
+        (Path(__file__).resolve(), "inverse or norm or divexact or plane_rank"),
+        (root / "tests" / "test_lincomb.py", "int64_bound"),
         (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"),
         (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises or phi_walk_raises"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),

@@ -1,19 +1,22 @@
-"""The shared linear-combination type and its packed product loop: cell
-vectors and Clifford blades against their per-term loops, and the one
-compatibility check for TL_n elements, cell vectors and blades."""
+"""The shared linear-combination type and the one exact product-sum step:
+cell vectors, Clifford blades and phi against their per-term loops, every
+product route through the step, and the one compatibility check for TL_n
+elements, cell vectors and blades."""
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 import oracles
+from tlq import cellrep, clifford, exactnum, tlalg
 from tlq.cellrep import CellVector, admissible_t, cell_action, cell_pairing
-from tlq.clifford import BladeElement, gamma
+from tlq.clifford import BladeElement, gamma, phi
 from tlq.diagram import enumerate_monic, tl_basis
 from tlq.exactnum import cyclotomic_field
-from tlq.tlalg import TLElement, generator
+from tlq.tlalg import TLElement, generator, jones_trace
 
 LEVELS = (3, 4, 5, 6, 7, 8)
 DENOMINATORS = (1, 2, 3, 35, 2**61 - 1)
@@ -61,7 +64,7 @@ def test_cell_action_and_form_match_per_term_loops(level):
 @pytest.mark.parametrize("level", LEVELS)
 def test_cell_action_that_cancels_to_zero(level):
     # (f_1 - delta) f_1 = 0, so (f_1 - delta) kills every vector f_1 . u, and
-    # the two terms of each image cancel inside one packed sum.
+    # the two terms of each image cancel inside one sum of the step.
     rng = random.Random(level)
     field = cyclotomic_field(level)
     for n in range(2, 8):
@@ -94,6 +97,103 @@ def test_blade_products_match_their_own_loop():
     g12 = gamma(3, 1) * gamma(3, 2)
     x, y = one + g12.scale(i2), one - g12.scale(i2)
     assert (x * y).is_zero() and oracles.blade_product(x, y).is_zero()
+
+
+def int64_cases() -> dict:
+    """The cell action, the cell form, the blade product and phi on small
+    operands: (operation, per-term oracle, x, y), where the step's checked
+    bound is linear in the scale of x."""
+    rng = random.Random(62)
+    f4, f5 = cyclotomic_field(4), cyclotomic_field(5)
+
+    def small(field):
+        return field.from_coeffs(1, [rng.randint(-3, 3) for _ in range(field.degree)])
+
+    x = TLElement(4, f5, {d: small(f5) for d in tl_basis(4)})
+    v, w = (CellVector(2, 4, f5, {d: small(f5) for d in enumerate_monic(2, 4)}) for _ in range(2))
+    a, b = (BladeElement(4, {m: small(f4) for m in range(16)}) for _ in range(2))
+    p = TLElement(4, f4, {d: small(f4) for d in tl_basis(4)})
+    return {
+        "cell action": (lambda x, v: cell_action(x, v), oracles.cell_action, x, v),
+        "cell form": (cell_pairing, oracles.cell_pairing, v, w),
+        "blade product": (lambda a, b: a * b, oracles.blade_product, a, b),
+        "phi": (lambda p, _: phi(p), lambda p, _: oracles.phi(p), p, None),
+    }
+
+
+@pytest.mark.parametrize("route", ("cell action", "cell form", "blade product", "phi"))
+def test_products_at_the_int64_bound(route, monkeypatch):
+    # The step's checked bound is set just past 2^62 (Python integers), just
+    # below it (int64) and far past it, where int64 sums would wrap; all of
+    # them, and empty operands, must match the per-term oracle.  Raises, not
+    # asserts: this test also runs under -O.
+    op, oracle, x, y = int64_cases()[route]
+    real = exactnum.int_dtype
+    bounds = []
+
+    def recorded(bound):
+        bounds.append(bound)
+        return real(bound)
+
+    def bound_and_result(x):
+        # The sums' bound is the largest checked: it multiplies the bounds
+        # of the coefficient planes.
+        bounds.clear()
+        result = op(x, y)
+        return max(bounds), result
+
+    op(x, y)  # builds the cached tables (phi's images) before any bound is read
+    monkeypatch.setattr(exactnum, "int_dtype", recorded)
+    base, _ = bound_and_result(x)
+    scale = -(-(2**62) // base)
+    # x's numerators are at most 3: 2^59 keeps them in int64 planes.
+    for s, past in ((scale, True), (scale - 1, False), (2**59, True)):
+        bound, result = bound_and_result(x.scale(s))
+        if (bound >= 2**62) != past or not (bound < 2**62 + base or s == 2**59):
+            raise AssertionError((bound, past))
+        if result != oracle(x.scale(s), y):
+            raise AssertionError(f"the {route} differs from the per-term oracle")
+    empty = [(x.scale(0), y)] + ([] if y is None else [(x, y.scale(0))])
+    for args in empty:
+        if op(*args) != oracle(*args):
+            raise AssertionError(f"the {route} of an empty operand")
+
+
+def test_every_product_route_reaches_the_one_step(monkeypatch):
+    calls = []
+    real = exactnum.weighted_sums
+
+    def counted(*args):
+        # Record which function took the step.
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    for module in (exactnum, tlalg, cellrep, clifford):
+        if "weighted_sums" in vars(module):
+            monkeypatch.setattr(module, "weighted_sums", counted)
+    f = [generator(9, i, 5) for i in range(1, 9)]
+    v = CellVector.from_diagram(enumerate_monic(1, 3)[0], 5)
+    routes = {
+        "TL product": lambda: generator(4, 1, 5) * generator(4, 2, 5),
+        "TL product past the table": lambda: f[0] * f[2],
+        "trace": lambda: jones_trace(generator(4, 1, 5)),
+        "kill check": lambda: tlalg._assert_trace_kills_ideal(5, 4),
+        "cell action": lambda: cell_action(generator(3, 1, 5), v),
+        "cell form": lambda: cell_pairing(v, v),
+        "blade product": lambda: gamma(3, 1) * gamma(3, 2),
+        "phi": lambda: phi(generator(3, 1, 4)),
+        "annihilation check": lambda: cellrep.annihilation_check.__wrapped__(2, 4, 4),
+    }
+    for name, route in routes.items():
+        calls.clear()
+        route()
+        assert calls, name
+    # The annihilation check sums its form values on the step, not only
+    # its cell actions.
+    assert "table_sums" in calls
+    # One kernel: no packed product kernel (a class, a loop or a helper)
+    # may come back beside the step.
+    assert not [name for name in dir(exactnum) if "pack" in name.lower() and name[:2] != "__"]
 
 
 def mismatched_pairs():

@@ -135,8 +135,8 @@ def _raise(*args, **kwargs):
 @pytest.mark.parametrize("level", (3, 5, 8))
 def test_table_products_and_traces_take_no_per_term_route(level, monkeypatch):
     # Up to PRODUCTS_MAX_N the product and the trace read the basis tables
-    # and sum on coefficient planes: no closure is walked, nothing is packed
-    # or unpacked.
+    # and sum on coefficient planes: no closure is walked and no pair is
+    # composed.
     rng = random.Random(level)
     cases = []
     for n in range(diagram.PRODUCTS_MAX_N + 1):
@@ -147,8 +147,7 @@ def test_table_products_and_traces_take_no_per_term_route(level, monkeypatch):
             cases.append((x, y, markov_trace(tl_product(x, y))))
     monkeypatch.setattr(diagram, "closure_loops", _raise)
     monkeypatch.setattr(tlalg, "closure_loops", _raise)
-    monkeypatch.setattr(exactnum, "packed_products", _raise)
-    monkeypatch.setattr(exactnum.KroneckerPacking, "unpack", _raise)
+    monkeypatch.setattr(tlalg, "compose_pairings", _raise)
     for x, y, expected in cases:
         assert jones_trace(x * y) == expected
 
@@ -166,7 +165,7 @@ def test_product_past_the_int64_bound(monkeypatch):
         })
         for _ in range(2)
     ]
-    real = tlalg.int_dtype
+    real = exactnum.int_dtype
     bounds = []
 
     def recorded(bound):
@@ -174,11 +173,13 @@ def test_product_past_the_int64_bound(monkeypatch):
         return real(bound)
 
     def product_bound(x, y):
+        # The sums' bound is the largest checked: it multiplies the bounds
+        # of both coefficient planes.
         bounds.clear()
         product = x * y
-        return bounds[0], product
+        return max(bounds), product
 
-    monkeypatch.setattr(tlalg, "int_dtype", recorded)
+    monkeypatch.setattr(exactnum, "int_dtype", recorded)
     base, _ = product_bound(*unit)
     a = 2**30
     b = -(-(2**62) // (base * a))
