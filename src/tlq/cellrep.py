@@ -1,8 +1,8 @@
 """Cell modules W_t(n), the bilinear cell form, simple dimensions by Gram
 rank and by the alternating sum over the reflection orbit, and the
 classification checks for the semisimple quotient.  ``CellVector`` is a
-:class:`tlq.exactnum.LinComb`; the cell action, the cell form and the
-annihilation check sum on :func:`tlq.exactnum.weighted_sums`.
+:class:`tlq.exactnum.LinComb`; the cell action and form sum on
+:func:`tlq.exactnum.pair_sums`, the annihilation check on ``table_sums``.
 
 The dimension of the simple head L_t is *defined* computationally as the
 rank of the cell Gram matrix, found by exact elimination over Q(zeta_{2l})
@@ -34,10 +34,10 @@ from .exactnum import (
     LinComb,
     coefficient_plane,
     cyclotomic_field,
+    pair_sums,
     plane_rank,
     powers,
     table_sums,
-    term_products,
 )
 from .tlalg import TLElement, embedded_jones_wenzl
 
@@ -78,27 +78,23 @@ class CellVector(LinComb):
 
 
 def cell_action(x: TLElement, v: CellVector) -> CellVector:
-    """The cellular action: compose and drop terms of lower through-degree."""
+    """The cellular action: compose, and drop each composite that is not
+    monic (it has lost a through strand, so it lies in a lower cell)."""
     if x.n != v.n or x.field.level != v.field.level:
         raise ValueError("strand count or level mismatch")
     t, n = v.t, v.n
-
-    def combine(dv, dx):
-        pairing, loops = compose_pairings(t, n, n, dv.pairing, dx.pairing)
-        # A bottom point paired with a bottom point lowers the through-degree.
-        if min(pairing[:t], default=t) < t:
-            return None
-        return pairing, loops
-
+    basis = diagram_basis(t, n)
+    composed = [compose_pairings(t, n, n, a.pairing, b.pairing) for a in v.terms for b in x.terms]
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of v.
-    products = term_products(
-        v.field,
-        v.terms,
+    results, den, sums = pair_sums(
+        v.field, v.terms.values(), x.terms.values(),
+        [basis.index.get(pairing, -1) for pairing, _ in composed], [l for _, l in composed],
         powers(v.field.delta, (n - t) // 2),
-        x.terms,
-        [[combine(dv, dx) for dx in x.terms] for dv in v.terms],
     )
-    return v._like((Diagram._trusted(t, n, pr), c) for pr, c in products.items())
+    return v._like(
+        (Diagram._trusted(t, n, basis.pairings[k]), v.field.from_coeffs(den, row))
+        for k, row in zip(results, sums.tolist())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +118,15 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
     v._check_compatible(w)
     t, n = v.t, v.n
     ident = identity_pairing(t)
-
-    def combine(sv, dw):
-        hit = compose_pairings(t, n, t, dw.pairing, sv)
-        return hit if hit[0] == ident else None
-
-    stars = {star_pairing(t + n, d.pairing): c for d, c in v.terms.items()}
+    stars = [star_pairing(t + n, d.pairing) for d in v.terms]
+    composed = [compose_pairings(t, n, t, dw.pairing, sv) for sv in stars for dw in w.terms]
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of w.
-    products = term_products(
-        v.field,
-        stars,
+    results, den, sums = pair_sums(
+        v.field, v.terms.values(), w.terms.values(),
+        [0 if pairing == ident else -1 for pairing, _ in composed], [l for _, l in composed],
         powers(v.field.delta, (n - t) // 2),
-        w.terms,
-        [[combine(sv, dw) for dw in w.terms] for sv in stars],
     )
-    return products.get(ident, v.field.zero)
+    return v.field.from_coeffs(den, sums[0].tolist()) if results else v.field.zero
 
 
 # ---------------------------------------------------------------------------

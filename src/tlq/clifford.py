@@ -5,8 +5,8 @@ sqrt(2) = delta), and the homomorphism from TL_n(q) at level 4.
 Blades are subsets of {1..n} encoded as bitmasks; the reordering sign is the
 parity of the transpositions needed to sort a concatenation, and each
 repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
-:class:`tlq.exactnum.LinComb` whose product runs on
-:func:`tlq.exactnum.term_products` with the sign folded into the pair, and
+:class:`tlq.exactnum.LinComb` whose product is one
+:func:`tlq.exactnum.pair_sums` call over (1/2)^c and its negations, and
 ``phi`` sums images by :func:`tlq.exactnum.term_sums`.  The table of images
 follows :meth:`tlq.diagram.DiagramBasis.walk`, and the dimension of its
 span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
@@ -29,8 +29,8 @@ from .exactnum import (
     LinComb,
     cyclotomic_field,
     mod_p_image,
+    pair_sums,
     powers,
-    term_products,
     term_sums,
 )
 from .tlalg import TLElement
@@ -43,10 +43,15 @@ def _field() -> CyclotomicField:
     return cyclotomic_field(_LEVEL)
 
 
+@lru_cache(maxsize=None)
+def _signed_halves(top: int) -> tuple[CycNum, ...]:
+    """(1/2)^0 .. (1/2)^top, then their negations: the blade product's weights."""
+    return powers(_HALF, top) + tuple(-h for h in powers(_HALF, top))
+
+
 def _mul_basis(j: int, k: int) -> tuple[int, int]:
     """gamma_J gamma_K = +-(1/2)^c gamma_(J^K) as (J^K, c) for the plus sign
-    and (J^K, ~c) for the minus sign, the form of a pair in
-    :func:`tlq.exactnum.term_products`."""
+    and (J^K, ~c) for the minus sign."""
     swaps = 0
     rest = k
     while rest:
@@ -86,16 +91,18 @@ class BladeElement(LinComb):
         if not isinstance(other, LinComb):
             return NotImplemented
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return self._like(())
         # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
-        most_contractions = min(
-            max(j.bit_count() for j in self.terms),
-            max(k.bit_count() for k in other.terms),
+        top = min(max(map(int.bit_count, e.terms), default=0) for e in (self, other))
+        pairs = [_mul_basis(j, k) for j in self.terms for k in other.terms]
+        met: dict[int, int] = {}
+        _, den, sums = pair_sums(
+            self.field, self.terms.values(), other.terms.values(),
+            [met.setdefault(mask, len(met)) for mask, _ in pairs],
+            [c if c >= 0 else top - c for _, c in pairs],
+            _signed_halves(top),
         )
-        hits = [[_mul_basis(j, k) for k in other.terms] for j in self.terms]
-        weights = powers(_HALF, most_contractions)
-        return self._like(term_products(self.field, self.terms, weights, other.terms, hits).items())
+        # Every pair hits its mask, so the results are the masks as met.
+        return self._like((m, self.field.from_coeffs(den, r)) for m, r in zip(met, sums.tolist()))
 
     def constant_term(self) -> CycNum:
         return self.coefficient(0)

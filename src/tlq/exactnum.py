@@ -18,8 +18,9 @@ work stays below 2^62 (``int_dtype``).  ``plane_rank`` is exact rank on
 them, and ``weighted_sums`` the one step for every sum of products (the
 ``TL_n`` product, trace and kill check, the cell action and form, the blade
 product, phi): rows scatter-added per (slot, weight), then contracted once
-with the weight planes; ``pair_sums``, ``term_products``, ``term_sums`` and
-``table_sums`` feed it.  ``LinComb`` is the one linear-combination type.
+with the weight planes; ``pair_sums`` (every product of two combinations),
+``term_sums`` and ``table_sums`` feed it.  ``LinComb`` is the one
+linear-combination type.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -453,22 +454,35 @@ def weighted_sums(field: CyclotomicField, nslots: int, weights, dtype, blocks) -
     return (acc.reshape(nslots + 1, width * d) @ planes.reshape(width * d, d))[:nslots]
 
 
-def pair_sums(field: CyclotomicField, xs, ys, nslots: int, weights, keys) -> tuple[int, np.ndarray]:
-    """Sums of x_i * y_j * w_l over the pairs (i, j) of the CycNums xs, ys
-    that ``keys(rows)`` sends to (s, l), as a common denominator and a
-    plane of :func:`weighted_sums`: ``keys`` gives (slot, l) arrays of
-    shape (rows, len(ys)) for a slice of the rows of xs, and their products
-    are formed one block at a time."""
+def pair_sums(
+    field: CyclotomicField, xs, ys, target, index, weights: tuple
+) -> tuple[list, int, np.ndarray]:
+    """Sums of x_i * y_j * weights[index[i, j]] over the pairs (i, j) of the
+    CycNums xs, ys, one per result target[i, j] (-1 drops the pair); target
+    and index are integers of shape (len(xs), len(ys)), as arrays or flat.
+    Returns the results hit in increasing order, a common denominator and a
+    plane of :func:`weighted_sums`, one row each.  Weights past the largest
+    index are left out; the products are formed one block of rows at a time."""
+    if not len(xs) or not len(ys):
+        return [], 1, np.zeros((0, field.degree), dtype=np.int64)
+    shape = len(xs), len(ys)
+    target, index = np.asarray(target).reshape(shape), np.asarray(index).reshape(shape)
+    step = rows_per_block(len(ys))
+    blocks = [slice(i, i + step) for i in range(0, len(xs), step)]
+    # The results hit take dense slots; target -1 reads the last, the drop slot.
+    hit = np.zeros(int(target.max()) + 2, dtype=bool)
+    for rows in blocks:
+        hit[target[rows]] = True
+    slot = hit.cumsum() - 1
+    slot[-1] = -1
+    planes = weight_planes(weights[: int(index.max()) + 1])
     (dx, a, ta), (dy, b, tb) = coefficient_plane(field, xs), coefficient_plane(field, ys)
     # Each accumulated coefficient sums at most one product per pair.
-    dtype = sums_dtype(weights, ta * tb * field._mult_bound * len(a) * len(b))
+    dtype = sums_dtype(planes, ta * tb * field._mult_bound * len(a) * len(b))
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    step = rows_per_block(len(b))
-    blocks = (
-        (*keys(slice(i, i + step)), plane_products(field, a[i : i + step], b))
-        for i in range(0, len(a), step)
-    )
-    return dx * dy * weights[0], weighted_sums(field, nslots, weights, dtype, blocks)
+    products = ((slot[target[r]], index[r], plane_products(field, a[r], b)) for r in blocks)
+    results = hit[:-1].nonzero()[0].tolist()
+    return results, dx * dy * planes[0], weighted_sums(field, len(results), planes, dtype, products)
 
 
 def term_sums(field: CyclotomicField, xs, images: Sequence[Mapping]) -> dict:
@@ -500,37 +514,6 @@ def table_sums(field: CyclotomicField, table: np.ndarray, plane: np.ndarray, wei
         block = table[i : i + step]
         entries = np.arange(len(block))[:, None], block, plane[None].repeat(len(block), axis=0)
         yield weighted_sums(field, len(block), planes, dtype, [entries])
-
-
-def term_products(
-    field: CyclotomicField,
-    xterms: Mapping[Hashable, CycNum],
-    weights: Sequence[CycNum],
-    yterms: Mapping[Hashable, CycNum],
-    hits: Iterable[Iterable["tuple[Hashable, int] | None"]],
-) -> dict[Hashable, CycNum]:
-    """Sums of products x * w * y over pairs of terms, one per result key.
-
-    ``hits`` holds one row per x term and one entry per y term, both in the
-    order of the mappings: ``(key, l)`` when the pair adds
-    ``x * weights[l] * y`` to ``key``, ``(key, ~l)`` when it adds the
-    negated product, and None when it adds nothing.  Each key becomes a
-    slot of :func:`pair_sums` and None the drop slot."""
-    if not xterms or not yterms:
-        return {}
-    slots: dict[Hashable, int] = {}
-    # ~l = -1 - l reads -w_l: the signed planes hold w_0 .. w_L, -w_L .. -w_0.
-    span = 2 * len(weights)
-    keyed = [
-        (-1, 0) if hit is None else (slots.setdefault(hit[0], len(slots)), hit[1] % span)
-        for row in hits for hit in row
-    ]
-    slot, index = np.array(keyed, dtype=np.intp).reshape(len(xterms), -1, 2).transpose(2, 0, 1)
-    signed = weight_planes(tuple(weights), True)
-    den, sums = pair_sums(
-        field, xterms.values(), yterms.values(), len(slots), signed, lambda r: (slot[r], index[r])
-    )
-    return {key: field.from_coeffs(den, row) for key, row in zip(slots, sums.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +557,11 @@ class LinComb:
 
     def _like(self, pairs: Iterable):
         """A combination in this space from (key, coefficient) pairs whose
-        keys are valid by construction and distinct; zero coefficients are
-        dropped."""
+        keys are valid by construction and distinct, zero coefficients
+        dropped, or from a dict of such terms, all nonzero, which it keeps."""
         out = object.__new__(type(self))
         out.space, out.field = self.space, self.field
-        out.terms = {key: c for key, c in pairs if c}
+        out.terms = pairs if isinstance(pairs, dict) else {key: c for key, c in pairs if c}
         return out
 
     def coefficient(self, key) -> CycNum:
@@ -602,11 +585,18 @@ class LinComb:
         if not isinstance(other, LinComb):
             return NotImplemented
         self._check_compatible(other)
+        # Copying a dict reuses its stored hashes; each key of other is
+        # hashed once to read and once to write or delete.
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key)
-            out[key] = c if s is None else s + c
-        return self._like(out.items())
+            if s is None:
+                out[key] = c
+            elif s := s + c:
+                out[key] = s
+            else:
+                del out[key]
+        return self._like(out)
 
     def __neg__(self):
         return self._like((key, -c) for key, c in self.terms.items())
@@ -694,15 +684,13 @@ def _times(field: CyclotomicField, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def weight_planes(weights: tuple[CycNum, ...], signed: bool = False) -> tuple[int, np.ndarray, int]:
+def weight_planes(weights: tuple[CycNum, ...]) -> tuple[int, np.ndarray, int]:
     """The common denominator of ``weights``, integer planes out[l, j] =
     zeta^j * w_l over it and their largest absolute entry: the weights of
-    :func:`weighted_sums`, the numerators of ``weights``, then if ``signed``
-    their negations in reverse order, then zero."""
+    :func:`weighted_sums`, the numerators of ``weights`` and then zero."""
     field = weights[0].field
     den, rows, _ = coefficient_plane(field, weights)
-    negated = -rows[::-1] if signed else rows[:0]
-    rows = np.concatenate((rows, negated, np.zeros((1, field.degree), dtype=object)))
+    rows = np.concatenate((rows, np.zeros((1, field.degree), dtype=object)))
     out = plane_products(field, rows, np.eye(field.degree, dtype=object))
     out = out.astype(int_dtype(maxabs(out)))
     out.setflags(write=False)

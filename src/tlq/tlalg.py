@@ -13,13 +13,13 @@ and the check that the trace kills the Jones-Wenzl ideal sum on integer
 coefficient planes by :func:`tlq.exactnum.weighted_sums`, the one exact
 product-sum step: each coefficient is scatter-added to the accumulator row
 of (result, loop count), and one contraction with the planes of
-delta^0 .. delta^L gives every result.  Up to n = ``PRODUCTS_MAX_N`` a
-product's pairs are multiplied in blocks (:func:`tlq.exactnum.pair_sums`),
-their results and loop counts read from the product table of
-``diagram_basis(0, 2n)``, and the trace reads its closure loops from the
-identity's row of its trace table.  Past it each pair is composed for
-:func:`tlq.exactnum.term_products` and each closure is walked, so neither
-the product nor the trace enumerates the basis and both work at any n.
+delta^0 .. delta^L gives every result.  A product hands the result and
+loop count of each pair to :func:`tlq.exactnum.pair_sums`: up to
+n = ``PRODUCTS_MAX_N`` read in one gather from the product table of
+``diagram_basis(0, 2n)``, past it composed, the composites numbered as met.
+The trace reads its closure loops from the identity's row of the trace
+table, and past the cutoff walks each closure, so neither the product nor
+the trace enumerates the basis there and both work at any n.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -69,10 +69,8 @@ from .exactnum import (
     pair_sums,
     powers,
     quantum_int,
-    rows_per_block,
     sums_dtype,
     table_sums,
-    term_products,
     weight_planes,
     weighted_sums,
 )
@@ -125,38 +123,25 @@ class TLElement(LinComb):
             return self._like(())
         n, field = self.n, self.field
         # "apply y, then x": stack x on top of y, as the table's D_i D_j does.
-        if n > PRODUCTS_MAX_N:
-            # A loop closed in the glued row passes through two of its n points.
-            hits = (
-                [compose_pairings(n, n, n, dy.pairing, dx.pairing) for dy in other.terms]
-                for dx in self.terms
-            )
-            products = term_products(field, self.terms, powers(field.delta, n // 2), other.terms, hits)
-            return self._like((Diagram._trusted(n, n, pr), c) for pr, c in products.items())
-        basis = diagram_basis(0, 2 * n)
-        targets, loops = basis.products
-        px = np.array([basis.index[d.pairing] for d in self.terms], dtype=np.intp)
-        py = np.array([basis.index[d.pairing] for d in other.terms], dtype=np.intp)
-        step = rows_per_block(len(py))
-        hit = np.zeros(len(basis.pairings), dtype=bool)
-        most_loops = 0
-        for i in range(0, len(px), step):
-            block = np.ix_(px[i : i + step], py)
-            hit[targets[block]] = True
-            most_loops = max(most_loops, int(loops[block].max()))
-        slot = np.cumsum(hit) - 1
-        results = np.flatnonzero(hit).tolist()
-
-        def keys(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-            block = np.ix_(px[rows], py)
-            return slot[targets[block]], loops[block]
-
-        weights = weight_planes(powers(field.delta, most_loops))
-        den, sums = pair_sums(
-            field, self.terms.values(), other.terms.values(), len(results), weights, keys
+        if n <= PRODUCTS_MAX_N:
+            basis = diagram_basis(0, 2 * n)
+            px, py = ([basis.index[d.pairing] for d in e.terms] for e in (self, other))
+            target, loops = (table[np.ix_(px, py)] for table in basis.products)
+            pairings = basis.pairings
+        else:
+            pairs = ((a.pairing, b.pairing) for a in self.terms for b in other.terms)
+            composed = [compose_pairings(n, n, n, pb, pa) for pa, pb in pairs]
+            met: dict[tuple[int, ...], int] = {}
+            target = [met.setdefault(pairing, len(met)) for pairing, _ in composed]
+            loops = [l for _, l in composed]
+            pairings = list(met)
+        # A loop closed in the glued row passes through two of its n points.
+        results, den, sums = pair_sums(
+            field, self.terms.values(), other.terms.values(), target, loops,
+            powers(field.delta, n // 2),
         )
         return self._like(
-            (Diagram._trusted(n, n, basis.pairings[k]), field.from_coeffs(den, row))
+            (Diagram._trusted(n, n, pairings[k]), field.from_coeffs(den, row))
             for k, row in zip(results, sums.tolist())
         )
 

@@ -5,6 +5,7 @@ elements, cell vectors and blades."""
 
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 
@@ -14,7 +15,7 @@ import oracles
 from tlq import cellrep, clifford, exactnum, tlalg
 from tlq.cellrep import CellVector, admissible_t, cell_action, cell_pairing
 from tlq.clifford import BladeElement, gamma, phi
-from tlq.diagram import enumerate_monic, tl_basis
+from tlq.diagram import Diagram, diagram_basis, enumerate_monic, tl_basis
 from tlq.exactnum import cyclotomic_field
 from tlq.tlalg import TLElement, generator, jones_trace
 
@@ -160,17 +161,23 @@ def test_products_at_the_int64_bound(route, monkeypatch):
 
 
 def test_every_product_route_reaches_the_one_step(monkeypatch):
-    calls = []
-    real = exactnum.weighted_sums
+    calls, pair_calls = [], []
+    real, real_pairs = exactnum.weighted_sums, exactnum.pair_sums
 
     def counted(*args):
         # Record which function took the step.
         calls.append(sys._getframe(1).f_code.co_name)
         return real(*args)
 
+    def counted_pairs(*args):
+        pair_calls.append(sys._getframe(1).f_code.co_name)
+        return real_pairs(*args)
+
     for module in (exactnum, tlalg, cellrep, clifford):
         if "weighted_sums" in vars(module):
             monkeypatch.setattr(module, "weighted_sums", counted)
+        if module is not exactnum and "pair_sums" in vars(module):
+            monkeypatch.setattr(module, "pair_sums", counted_pairs)
     f = [generator(9, i, 5) for i in range(1, 9)]
     v = CellVector.from_diagram(enumerate_monic(1, 3)[0], 5)
     routes = {
@@ -184,16 +191,149 @@ def test_every_product_route_reaches_the_one_step(monkeypatch):
         "phi": lambda: phi(generator(3, 1, 4)),
         "annihilation check": lambda: cellrep.annihilation_check.__wrapped__(2, 4, 4),
     }
+    products = {
+        "TL product": "__mul__",
+        "TL product past the table": "__mul__",
+        "cell action": "cell_action",
+        "cell form": "cell_pairing",
+        "blade product": "__mul__",
+    }
     for name, route in routes.items():
         calls.clear()
+        pair_calls.clear()
         route()
         assert calls, name
+        # Every product of two combinations is one pair_sums call.
+        if name in products:
+            assert pair_calls == [products[name]], name
     # The annihilation check sums its form values on the step, not only
     # its cell actions.
     assert "table_sums" in calls
     # One kernel: no packed product kernel (a class, a loop or a helper)
-    # may come back beside the step.
+    # may come back beside the step, and no second pair encoding either:
+    # no products helper but the plane arithmetic (the hit-list adapter
+    # is gone), and no signed weight planes.
     assert not [name for name in dir(exactnum) if "pack" in name.lower() and name[:2] != "__"]
+    assert [name for name in dir(exactnum) if name.endswith("_products")] == ["plane_products"]
+    assert list(inspect.signature(exactnum.weight_planes).parameters) == ["weights"]
+
+
+# The edge paths of exactnum.pair_sums, each against the per-term oracles.
+# Raises, not asserts: these tests also run under -O.
+
+
+def check(ok: bool, what) -> None:
+    if not ok:
+        raise AssertionError(what)
+
+
+@pytest.mark.parametrize("level", (4, 5, 7))
+def test_pair_sums_edge_every_pair_dropped(level):
+    rng = random.Random(level)
+    field = cyclotomic_field(level)
+    # Every diagram of z f_1 joins two through strands of the top cell
+    # W_n(n): no composite is monic.
+    for n in range(2, 8):
+        x = random_tl_element(n, level, rng) * generator(n, 1, level)
+        v = random_cell_vector(n, n, level, rng)
+        check(not x.is_zero(), n)
+        xv = cell_action(x, v)
+        check(xv.is_zero() and xv == oracles.cell_action(x, v) and xv.space == (n, n), n)
+    # Cell forms whose composites never close to the identity of t: the
+    # exponent -1 entries of the form table.
+    for t, n in ((2, 4), (3, 5), (2, 6), (4, 6)):
+        basis, monic = diagram_basis(t, n), enumerate_monic(t, n)
+        expo = basis.cell_exponents
+        for i in range(len(monic)):
+            zeros = [monic[j] for j in range(len(monic)) if expo[i, j] < 0]
+            if not zeros:
+                continue
+            v = CellVector(t, n, field, {monic[i]: big_coefficient(field, rng)})
+            w = CellVector(t, n, field, {d: big_coefficient(field, rng) for d in zeros})
+            for a, b in ((v, w), (w, v)):
+                form = cell_pairing(a, b)
+                check(form.is_zero() and form == oracles.cell_pairing(a, b), (t, n, i))
+
+
+@pytest.mark.parametrize("level", (3, 5))
+def test_pair_sums_edge_past_the_table_cancels_to_zero(level):
+    # (f_1 - delta) f_1 = 0 in TL_9, past PRODUCTS_MAX_N: every result of
+    # (f_1 - delta) (f_1 z) cancels inside the one call.
+    rng = random.Random(level)
+    field = cyclotomic_field(level)
+    f1 = generator(9, 1, level)
+    x = big_coefficient(field, rng) * (f1 - field.delta * TLElement.one(9, level))
+    y = f1 * random_tl_element(9, level, rng)
+    check(not y.is_zero(), "f_1 z vanished")
+    xy = x * y
+    check(xy.is_zero() and xy.n == 9 and oracles.tl_product(x, y).is_zero(), level)
+    # A product that keeps some terms: the cancelling pairs beside the rest.
+    z = random_tl_element(9, level, rng)
+    check(x * (y + z) == oracles.tl_product(x, y + z), level)
+
+
+def test_pair_sums_edge_sparse_blades_at_n_40():
+    # Result masks up to 2^40: one slot per mask would not fit in memory.
+    rng = random.Random(40)
+    field = cyclotomic_field(4)
+    xs = (1 << 39 | 1, 1 << 20 | 1 << 21, 1 << 39 | 1 << 38 | 0b11)
+    ys = (1 << 38 | 0b10, 1 << 21 | 1 << 5, 0)
+    for _ in range(3):
+        x = BladeElement(40, {m: big_coefficient(field, rng) for m in xs})
+        y = BladeElement(40, {m: big_coefficient(field, rng) for m in ys})
+        xy = x * y
+        check(xy == oracles.blade_product(x, y) and max(xy.terms) >> 39, "n = 40")
+
+
+def test_pair_sums_edge_empty_operands():
+    rng = random.Random(0)
+    level = 4
+    field = cyclotomic_field(level)
+    for n in (4, 9):  # the product table and past it
+        x = random_tl_element(n, level, rng)
+        for a, b in ((x, x.scale(0)), (x.scale(0), x), (x.scale(0), x.scale(0))):
+            ab = a * b
+            check(ab.is_zero() and ab.n == n and ab == oracles.tl_product(a, b), ("TL", n))
+    for t, n in ((1, 3), (2, 6), (0, 4)):
+        x, v = random_tl_element(n, level, rng), random_cell_vector(t, n, level, rng)
+        for a, b in ((x, v.scale(0)), (x.scale(0), v)):
+            av = cell_action(a, b)
+            check(av.is_zero() and av.space == (t, n) and av == oracles.cell_action(a, b), (t, n))
+        for a, b in ((v, v.scale(0)), (v.scale(0), v), (v.scale(0), v.scale(0))):
+            check(cell_pairing(a, b) == field.zero == oracles.cell_pairing(a, b), (t, n))
+    b = random_blade(5, rng, 4)
+    for x, y in ((b, b.scale(0)), (b.scale(0), b), (b.scale(0), b.scale(0))):
+        xy = x * y
+        check(xy.is_zero() and xy.n == 5 and xy == oracles.blade_product(x, y), "blade")
+    p = TLElement.zero(5, level)
+    check(phi(p).is_zero() and phi(p) == oracles.phi(p), "phi")
+
+
+def test_sum_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
+    rng = random.Random(6)
+    level = 5
+    field = cyclotomic_field(level)
+    basis = tl_basis(6)
+    x = TLElement(6, field, {d: big_coefficient(field, rng) for d in rng.sample(basis, 40)})
+    terms = {d: big_coefficient(field, rng) for d in rng.sample(basis, 30)}
+    # Ten terms of y cancel terms of x.
+    terms.update({d: -c for d, c in list(x.terms.items())[:10]})
+    y = TLElement(6, field, terms)
+    expected = {d: x.coefficient(d) + y.coefficient(d) for d in {*x.terms, *y.terms}}
+    expected = {d: c for d, c in expected.items() if c}
+    real = Diagram.__hash__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Diagram, "__hash__", counted)
+    total = x + y
+    assert len(calls) <= 2 * len(y.terms), len(calls)
+    monkeypatch.undo()
+    assert total.terms == expected and total == y + x
+    assert all(total.terms.values())
 
 
 def mismatched_pairs():
