@@ -17,7 +17,7 @@ on a diagram is a cup-cap rule on its pairing, and the cell form
 <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed row of
 it and a walk of the generator actions give the rest.  The product table
 needs no composed row at all: (f_k D) D' = f_k (D D'), so a walk of the
-left actions from the identity fills it.
+left actions from the identity fills it, or any of its columns at any n.
 
 ``hook_poly`` gives the hook quotient of an arc-nesting forest, the
 coefficient of the Jones-Wenzl idempotent, as a power of q times an integer
@@ -296,11 +296,11 @@ class DiagramBasis:
     """The monic (t, n)-diagrams in lexicographic order, a pairing -> position
     index, and the level-independent tables on them, built on first use.  The
     basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
-    only it has the star permutation, the trace table and the generator maps,
-    and for n <= PRODUCTS_MAX_N the product table.  The generator actions are
-    read off the pairings, the cell form table follows from one composed row
-    by the invariance <f_k x, y> = <x, f_k y>, and the product table from the
-    identity's row by the left actions.
+    only it has the star permutation, the trace table, the generator maps and
+    product columns, and for n <= PRODUCTS_MAX_N the product table.  The
+    generator actions are read off the pairings, the cell form table follows
+    from one composed row by the invariance <f_k x, y> = <x, f_k y>, and the
+    product columns from the identity's row by the left actions.
     """
 
     def __init__(self, t: int, n: int):
@@ -402,30 +402,38 @@ class DiagramBasis:
 
     @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
-        """The product table of TL_n, n <= PRODUCTS_MAX_N: targets[i, j] is
-        the position of D_i D_j (D_i stacked on top of D_j) and loops[i, j]
-        the loops it closes.
-
-        Nothing is composed.  The identity's row is arange(C(n)), and the
-        row of f_k D is the left action of f_k read at the row of D, its
-        loops added; a breadth-first walk of the loop-free left moves from
-        the identity reaches every diagram."""
-        m = self.n // 2
-        if self.t or m > PRODUCTS_MAX_N:
+        """The product table of TL_n, n <= PRODUCTS_MAX_N: every column, read-only."""
+        if self.n // 2 > PRODUCTS_MAX_N:
             raise ValueError(f"no product table on ({self.t}, {self.n})")
-        size = len(self.pairings)
-        targets = np.empty((size, size), dtype=np.int16)
-        loops = np.empty((size, size), dtype=np.int8)
+        tables = self.product_columns(range(len(self.pairings)))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+    def product_columns(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Columns ``cols`` of the product table of TL_n, at any n: targets[i, c]
+        is the position of D_i D_cols[c] (D_i on top) and loops[i, c] its loops.
+
+        Nothing is composed: the identity's row is ``cols``, the row of f_k D
+        is f_k's left action read at the row of D plus its loops, one gather
+        per round of the left walk (its moves whose source row is filled)."""
+        if self.t:
+            raise ValueError(f"no product table on ({self.t}, {self.n})")
+        m, size = self.n // 2, len(self.pairings)
+        hops, closed = np.array(self.actions[m:], dtype=np.intp).reshape(-1, 2, size).swapaxes(0, 1)
+        targets = np.empty((size, len(cols)), dtype=np.int16 if size < 2**15 else np.intp)
+        loops = np.empty((size, len(cols)), dtype=np.int8)
         start = self.index[identity_pairing(m)]
-        targets[start], loops[start] = np.arange(size), 0
-        left = self.actions[m:]
-        for i, move, k in self.walk(start, left):
-            tgt, lps = left[move]
-            row = targets[i]
-            targets[k] = tgt[row]
-            loops[k] = loops[i] + lps[row]
-        targets.setflags(write=False)
-        loops.setflags(write=False)
+        targets[start], loops[start] = cols, 0
+        steps = np.array(self.walk(start, self.actions[m:]), dtype=np.intp).reshape(-1, 3)
+        filled = np.arange(size) == start
+        while steps.size:
+            ready = filled[steps[:, 0]]
+            (i, move, k), steps = steps[ready].T, steps[~ready]
+            row, move = targets[i], move[:, None]
+            targets[k] = hops[move, row]
+            loops[k] = loops[i] + closed[move, row]
+            filled[k] = True
         return targets, loops
 
     @cached_property

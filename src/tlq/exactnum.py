@@ -581,7 +581,7 @@ class LinComb:
     def __hash__(self) -> int:
         return hash((self._kind(), frozenset(self.terms.items())))
 
-    def __add__(self, other: LinComb):
+    def __add__(self, other: LinComb, sign: int = 1):
         if not isinstance(other, LinComb):
             return NotImplemented
         self._check_compatible(other)
@@ -589,6 +589,7 @@ class LinComb:
         # hashed once to read and once to write or delete.
         out = dict(self.terms)
         for key, c in other.terms.items():
+            c = c if sign > 0 else -c
             s = out.get(key)
             if s is None:
                 out[key] = c
@@ -602,7 +603,8 @@ class LinComb:
         return self._like((key, -c) for key, c in self.terms.items())
 
     def __sub__(self, other: LinComb):
-        return self + (-other)
+        # One merge, as for a sum: -other would build and hash its own dict.
+        return self.__add__(other, -1)
 
     def scale(self, scalar: int | Fraction | CycNum):
         return self._like((key, c * scalar) for key, c in self.terms.items())

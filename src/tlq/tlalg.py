@@ -28,7 +28,8 @@ sandwich at every size (the field is reduced mod p by
 bounds, and the exactly verified inclusion of the ideal in the radical of
 the trace (tr(E y) = 0 for every basis diagram y) turns the pair of lower
 bounds into a two-sided pin.  All three read the one indexed basis
-``diagram_basis(0, 2n)``: its trace table and its generator action maps.
+``diagram_basis(0, 2n)``.  The ideal's rank takes two phases: left ideals
+from its product columns, then a closure under the right generator maps.
 """
 
 from __future__ import annotations
@@ -282,7 +283,8 @@ def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
     expo = diagram_basis(0, 2 * n).cell_exponents
     table = np.array([pow(dmod, c, p) for c in range(int(expo.max()) + 1)], dtype=np.float64)
     ech = _intlinalg.ModpEchelon(expo.shape[1], p)
-    ech.add_rows(table[expo])
+    for r in range(0, len(expo), _intlinalg._CHUNK):
+        ech.add_rows(table[expo[r : r + _intlinalg._CHUNK]])
     return ech.rank
 
 
@@ -304,37 +306,45 @@ def _assert_trace_kills_ideal(level: int, n: int):
 def _ideal_span_rank_modp(
     level: int, n: int, p: int, image: Callable[[CycNum], int], target: int
 ) -> int:
-    """Mod-p rank of the two-sided ideal <E>.
-
-    The ideal is the smallest subspace containing E that is invariant under
-    left and right multiplication by the generators, so a breadth-first
-    closure of the echelon under those (linear) maps spans exactly the mod-p
-    image of <E>.  Deterministic and complete; the result is always an exact
-    lower bound for dim <E>, and generically equals it.
-    """
+    """Mod-p rank of the two-sided ideal <E>, an exact lower bound for its
+    dimension.  Phase one spans the left ideals L = TL_n E and TL_n E f_(l-1):
+    row i of TL_n x sums c_j delta^loops[i, j] at targets[i, j] over the
+    diagrams j of x, from the product columns.  E f_i is 0 for i < l - 1 and
+    f_i E for i >= l, so L f_i lies in that span, and phase two maps only the
+    rows after L by the n - 1 right generator maps, until the rank reaches
+    ``target``.  Both phases feed ``_CHUNK`` rows at a time."""
+    chunk = _intlinalg._CHUNK
     basis = diagram_basis(0, 2 * n)
     size = len(basis.pairings)
     ej = embedded_jones_wenzl(level, n)
-    dmod = image(ej.field.delta)
-    maps = [
-        (tgt, np.array([pow(dmod, int(l), p) for l in loops], dtype=np.float64))
-        for tgt, loops in basis.generator_maps
-    ]
+    weight = np.array([pow(image(ej.field.delta), l, p) for l in range(n + 1)], dtype=np.float64)
+    # A row of a left ideal sums one residue below p per diagram of its
+    # generator, and E f_(l-1) has at most as many diagrams as E.
+    if len(ej.terms) * (p - 1) >= _intlinalg._F64_SAFE:
+        raise ArithmeticError("left ideal row sums would leave the exact f64 range")
+    maps = [(tgt, weight[loops]) for tgt, loops in basis.generator_maps[1::2]]
     # np.add.at sums one fiber of a map, each term below (p-1)^2.
     fiber = max(int(np.bincount(tgt).max()) for tgt, _ in maps)
     if fiber * (p - 1) ** 2 >= _intlinalg._F64_SAFE:
         raise ArithmeticError("fiber sums would leave the exact f64 range")
-    seed = np.zeros((1, size))
-    for d, c in ej.terms.items():
-        seed[0, basis.index[d.pairing]] = image(c)
     ech = _intlinalg.ModpEchelon(size, p)
-    frontier = ech.add_rows(seed)
-    while frontier.size and ech.rank < target:
-        m = len(frontier)
-        candidates = np.zeros((len(maps) * m, size))
+    for x in [ej] + ([ej * generator(n, level - 1, level)] if n >= level else []):
+        done = ech.rank
+        targets, loops = basis.product_columns([basis.index[d.pairing] for d in x.terms])
+        coeffs = np.array([image(c) for c in x.terms.values()], dtype=np.float64)
+        for r in range(0, size, chunk):
+            terms = np.fmod(coeffs * weight[loops[r : r + chunk]], p)
+            slots = targets[r : r + chunk] + size * np.arange(len(terms))[:, None]
+            ech.add_rows(np.bincount(slots.ravel(), terms.ravel(), size * len(terms)).reshape(-1, size))
+    # Rows from the last seed on are mapped once each, in the order they
+    # entered; a row reduced since then differs from it by later rows only.
+    while done < ech.rank < target:
+        rows = ech.rows[done : done + chunk // len(maps)]
+        done += len(rows)
+        candidates = np.zeros((len(maps), len(rows), size))
         for k, (tgt, w) in enumerate(maps):
-            np.add.at(candidates[k * m : (k + 1) * m].T, tgt, (frontier * w).T)
-        frontier = ech.add_rows(candidates)
+            np.add.at(candidates[k].T, tgt, (rows * w).T)
+        ech.add_rows(candidates.reshape(-1, size))
     return ech.rank
 
 

@@ -90,6 +90,32 @@ def test_product_table_matches_composition(n):
         assert (pairings[targets[i, j]], loops[i, j]) == (pairing, closed)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_product_columns_match_the_product_table(n):
+    basis = diagram_basis(0, 2 * n)
+    size = len(basis.pairings)
+    rng = random.Random(n)
+    for cols in ([], [0], rng.sample(range(size), min(size, 30)), [size - 1] * 3):
+        targets, loops = basis.product_columns(cols)
+        assert targets.dtype == np.int16 and loops.dtype == np.int8
+        np.testing.assert_array_equal(targets, basis.products[0][:, cols])
+        np.testing.assert_array_equal(loops, basis.products[1][:, cols])
+
+
+@pytest.mark.parametrize("n", (diagram.PRODUCTS_MAX_N + 1, diagram.PRODUCTS_MAX_N + 2))
+def test_product_columns_match_composition_past_the_cutoff(n):
+    basis = diagram.DiagramBasis(0, 2 * n)  # not cached: C(10) = 16,796
+    pairings = basis.pairings
+    rng = random.Random(n)
+    cols = rng.sample(range(len(pairings)), 25)
+    targets, loops = basis.product_columns(cols)
+    for _ in range(500):
+        i, c = rng.randrange(len(pairings)), rng.randrange(len(cols))
+        pairing, closed = diagram.compose_pairings(n, n, n, pairings[cols[c]], pairings[i])
+        assert (pairings[targets[i, c]], loops[i, c]) == (pairing, closed)
+    assert "products" not in vars(basis)
+
+
 def test_product_table_only_on_tl_up_to_the_cutoff():
     assert diagram.PRODUCTS_MAX_N == 8
     for t, n in ((0, 2 * diagram.PRODUCTS_MAX_N + 2), (2, 6)):

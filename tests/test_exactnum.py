@@ -309,15 +309,19 @@ def test_trace_gram_rank_example():
 def test_exactness_guards_raise_without_assert():
     # Runs under python -O, which strips assert: the exactness checks here,
     # the int64 bounds and the edge paths of the product-sum step, the
-    # table-based kill check of radical_split, its retry paths and the
-    # guards of the cell-form, product and phi walks must all still raise.
+    # table-based kill check of radical_split, its retry paths, the sum
+    # bounds of its ideal step and the guards of the cell-form, product and
+    # phi walks must all still raise.
     root = Path(__file__).resolve().parents[1]
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
         (Path(__file__).resolve(), "inverse or norm or divexact or plane_rank"),
         (root / "tests" / "test_lincomb.py", "int64_bound or pair_sums_edge"),
-        (root / "tests" / "test_tlalg.py", "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"),
+        (root / "tests" / "test_tlalg.py", (
+            "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"
+            " or fiber_bound or column_sum_bound"
+        )),
         (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises or phi_walk_raises"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),
     ):

@@ -309,7 +309,9 @@ def test_pair_sums_edge_empty_operands():
     check(phi(p).is_zero() and phi(p) == oracles.phi(p), "phi")
 
 
-def test_sum_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
+def _right_operand_hashes(monkeypatch, sign):
+    """x + y (sign 1) or x - y (sign -1) for 40- and 30-term elements of TL_6,
+    checked against the per-key sum, and its Diagram hash calls per term of y."""
     rng = random.Random(6)
     level = 5
     field = cyclotomic_field(level)
@@ -317,9 +319,9 @@ def test_sum_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
     x = TLElement(6, field, {d: big_coefficient(field, rng) for d in rng.sample(basis, 40)})
     terms = {d: big_coefficient(field, rng) for d in rng.sample(basis, 30)}
     # Ten terms of y cancel terms of x.
-    terms.update({d: -c for d, c in list(x.terms.items())[:10]})
+    terms.update({d: -sign * c for d, c in list(x.terms.items())[:10]})
     y = TLElement(6, field, terms)
-    expected = {d: x.coefficient(d) + y.coefficient(d) for d in {*x.terms, *y.terms}}
+    expected = {d: x.coefficient(d) + sign * y.coefficient(d) for d in {*x.terms, *y.terms}}
     expected = {d: c for d, c in expected.items() if c}
     real = Diagram.__hash__
     calls = []
@@ -329,11 +331,20 @@ def test_sum_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Diagram, "__hash__", counted)
-    total = x + y
-    assert len(calls) <= 2 * len(y.terms), len(calls)
+    result = x + y if sign > 0 else x - y
     monkeypatch.undo()
-    assert total.terms == expected and total == y + x
-    assert all(total.terms.values())
+    assert result.terms == expected and all(result.terms.values())
+    assert result == (y + x if sign > 0 else -(y - x))
+    return len(calls) / len(y.terms)
+
+
+def test_sum_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
+    assert _right_operand_hashes(monkeypatch, 1) <= 2
+
+
+def test_difference_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
+    # x - y merges y into a copy of x; -y would first build a dict of its own.
+    assert _right_operand_hashes(monkeypatch, -1) <= 2
 
 
 def mismatched_pairs():

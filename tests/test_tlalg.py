@@ -10,6 +10,7 @@ import pytest
 
 from oracles import ideal_dimension_exact, markov_trace, tl_product
 from tlq import _intlinalg, diagram, exactnum, tlalg
+from tlq.cellrep import quotient_labels, simple_dim_altsum
 from tlq.combinatorics import catalan
 from tlq.diagram import identity, tl_basis
 from tlq.exactnum import cyclotomic_field, mod_p_image
@@ -343,6 +344,43 @@ def test_ideal_closure_checks_the_fiber_bound(monkeypatch):
     monkeypatch.setattr(_intlinalg, "_F64_SAFE", 5 * (p - 1) ** 2)
     with pytest.raises(ArithmeticError, match="fiber"):
         tlalg._ideal_span_rank_modp(4, 5, p, image, catalan(5))
+
+
+def test_left_ideal_checks_the_column_sum_bound(monkeypatch):
+    # A row of TL_5 E sums one residue below p per diagram of E, and E_3
+    # has C(3) = 5 diagrams.
+    p = next(_intlinalg.working_primes(order=8))
+    image = mod_p_image(4, p)
+    monkeypatch.setattr(_intlinalg, "_F64_SAFE", 5 * (p - 1))
+    with pytest.raises(ArithmeticError, match="left ideal"):
+        tlalg._ideal_span_rank_modp(4, 5, p, image, catalan(5))
+
+
+@pytest.mark.parametrize("level", range(3, 8))
+def test_ideal_dimension_is_catalan_minus_the_semisimple_part(level):
+    # dim <E> = C(n) - dim Q_n, and Q_n is the sum of the squares of the
+    # simple dimensions by the alternating sum.
+    for n in range(level - 1, 8):
+        semisimple = sum(simple_dim_altsum(t, n, level) ** 2 for t in quotient_labels(level, n))
+        assert radical_split(level, n).ideal_dim == catalan(n) - semisimple, n
+
+
+def test_ideal_step_stays_small_in_memory():
+    # At level 3, n = 8 the closure reaches rank 1429 of 1430; the echelon
+    # alone is 16 MB, and the left ideal and the right-map candidates enter
+    # in bounded blocks.
+    level, n = 3, 8
+    p = next(_intlinalg.working_primes(order=2 * level))
+    image = mod_p_image(level, p)
+    diagram.diagram_basis(0, 2 * n).generator_maps, embedded_jones_wenzl(level, n)
+    tracemalloc.start()
+    try:
+        rank = tlalg._ideal_span_rank_modp(level, n, p, image, catalan(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == catalan(n) - 1
+    assert peak < 70 * 2**20, peak
 
 
 def test_trace_gram_rank_pattern():
