@@ -5,10 +5,9 @@ classification checks for the semisimple quotient.  ``CellVector`` is a
 :func:`tlq.exactnum.pair_sums`, the annihilation check on ``table_sums``.
 
 The dimension of the simple head L_t is *defined* computationally as the
-rank of the cell Gram matrix, found by exact elimination over Q(zeta_{2l})
-on integer coefficient planes gathered from the exponent table
-(:func:`tlq.exactnum.plane_rank`: int64 under a checked bound, Python
-integers past it); the representation-theoretic formulas are cross-checks
+rank of the cell Gram matrix, found by exact elimination over Z[delta]
+(:func:`tlq.exactnum.plane_rank` on the rows of delta^e gathered from the
+exponent table); the representation-theoretic formulas are cross-checks
 computed by independent routes.
 """
 
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Mapping
-
-import numpy as np
 
 from .diagram import (
     Diagram,
@@ -34,6 +31,7 @@ from .exactnum import (
     LinComb,
     coefficient_plane,
     cyclotomic_field,
+    delta_ring,
     pair_sums,
     plane_rank,
     powers,
@@ -137,17 +135,13 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
 @lru_cache(maxsize=None)
 def simple_dim_rank(t: int, n: int, level: int) -> int:
     """dim L_t(n) as the rank of the cell Gram matrix, by exact elimination
-    over Q(zeta_{2l}); exact elimination is its own certificate.
-
-    The Gram planes are gathered straight from the exponent table: delta is
-    an algebraic integer, so the coefficient rows of delta^0 .. delta^k (and
-    a zero row, read at exponent -1) are integral."""
+    over Z[delta], its own certificate: the entries delta^e lie in Z[delta],
+    and a rank does not change from Q(delta) to Q(zeta_{2l}).  The planes are
+    the rows of delta^0 .. delta^k gathered by the exponent table."""
     if t not in admissible_t(n):
         raise ValueError("t is not admissible for n")
-    field = cyclotomic_field(level)
-    pw = powers(field.delta, (n - t) // 2)
-    table = np.array([c.num for c in pw] + [field.zero.num], dtype=np.int64)
-    return plane_rank(field, table[diagram_basis(t, n).cell_exponents])
+    ring = delta_ring(level)
+    return plane_rank(ring, ring.power_table((n - t) // 2)[diagram_basis(t, n).cell_exponents])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact arithmetic: the cyclotomic fields Q(zeta_{2l}), quantum integers
-and exact dense linear algebra.
+"""Exact arithmetic: the cyclotomic fields Q(zeta_{2l}), their subrings
+Z[delta] (``DeltaRing``), quantum integers and exact dense linear algebra.
 
 Every scalar used by the algebra layers is a ``CycNum``: a residue modulo the
 2l-th cyclotomic polynomial with rational coefficients, stored as an integer
@@ -15,12 +15,13 @@ integer polynomial in q^2 (times a power of q) by summing table rows, and
 Many numbers at once are integer coefficient planes over a common
 denominator (``coefficient_plane``), int64 while a bound checked before the
 work stays below 2^62 (``int_dtype``).  ``plane_rank`` is exact rank on
-them, and ``weighted_sums`` the one step for every sum of products (the
-``TL_n`` product, trace and kill check, the cell action and form, the blade
-product, phi): rows scatter-added per (slot, weight), then contracted once
-with the weight planes; ``pair_sums`` (every product of two combinations),
-``term_sums`` and ``table_sums`` feed it.  ``LinComb`` is the one
-linear-combination type.
+them, over Q(zeta_{2l}) or over Z[delta] (half the degree; a pivot is
+inverted by its adjugate row), and ``weighted_sums`` the one step for every
+sum of products (the ``TL_n`` product, trace and kill check, the cell action
+and form, the blade product, phi): rows scatter-added per (slot, weight),
+then contracted once with the weight planes; ``pair_sums`` (every product of
+two combinations), ``term_sums`` and ``table_sums`` feed it.  ``LinComb`` is
+the one linear-combination type.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -82,6 +83,20 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _ring_tables(modulus: Sequence[int], count: int) -> tuple[list, np.ndarray, int]:
+    """Z[x] modulo a monic integer polynomial of degree d: the integer rows of
+    x^0 .. x^(count-1), each the previous one times x with x^d replaced by
+    x^d - modulus, and (mult, bound) with mult[i, j] = x^(i+j): a product of
+    rows x, y is one contraction with it, at most max|x| max|y| bound."""
+    d = len(modulus) - 1
+    pows = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+    for _ in range(d, max(count, 2 * d - 1)):
+        prev = pows[-1]
+        pows.append(tuple(a - prev[-1] * m for a, m in zip((0,) + prev[:-1], modulus)))
+    mult = np.array([pows[i : i + d] for i in range(d)], dtype=np.int64)
+    return pows[:count], mult, int(np.abs(mult).sum(axis=(0, 1)).max())
+
+
 class CyclotomicField:
     """The field Q(zeta_{2l}) for a fixed level l >= 3.
 
@@ -99,17 +114,8 @@ class CyclotomicField:
         self.modulus = cyclotomic_polynomial(2 * level)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # zeta^k for k = 0 .. 2l-1 as integer coefficient rows: each row is
-        # the previous one times x, with x^d replaced by x^d - Phi_{2l}.
-        pows = [tuple(int(j == k) for j in range(d)) for k in range(d)]
-        for _ in range(d, 2 * level):
-            prev = pows[-1]
-            pows.append(tuple(a - prev[-1] * m for a, m in zip((0,) + prev[:-1], self.modulus)))
-        self._zeta_powers = tuple(pows)
-        # _mult[i, j] = zeta^(i+j); a product of coefficient rows x, y is one
-        # contraction with it, each value at most max|x| max|y| _mult_bound.
-        self._mult = np.array([pows[i : i + d] for i in range(d)], dtype=np.int64)
-        self._mult_bound = int(np.abs(self._mult).sum(axis=(0, 1)).max())
+        pows, self._mult, self._mult_bound = _ring_tables(self.modulus, 2 * level)
+        self._zeta_powers = tuple(pows)  # zeta^0 .. zeta^(2l-1)
         # x^(d+k) mod Phi for k = 0 .. d-2 (d <= l, so the table holds them),
         # kept as their nonzero (index, coefficient) entries.
         self._red = tuple(
@@ -166,6 +172,21 @@ class CyclotomicField:
                     out[j] += c * v
         return out
 
+    def pivot_inverse(self, x: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(R, N) with x * R = N for a nonzero integer row x, by the Galois norm:
+        R is the product of the conjugates sigma_k(x), sigma_k: zeta -> zeta^k
+        for the units k != 1 of Z/2l, and N = x * R, checked to be an integer."""
+        x, order, rest = tuple(map(int, x)), 2 * self.level, None
+        for k in self._conjugates:
+            # sigma_k(x) = sum of x_j zeta^(jk), in integers from the table.
+            rows = [[v * z for z in self._zeta_powers[j * k % order]] for j, v in enumerate(x) if v]
+            conj = CycNum(self, 1, tuple(map(sum, zip(*rows))))
+            rest = conj if rest is None else rest * conj
+        norm = CycNum(self, 1, x) * rest
+        if norm.den != 1 or any(norm.num[1:]) or not norm.num[0]:
+            raise ArithmeticError("the conjugates do not multiply to a nonzero rational norm")
+        return rest.num, norm.num[0]
+
     def __repr__(self) -> str:
         return f"CyclotomicField(level={self.level})"
 
@@ -174,6 +195,57 @@ class CyclotomicField:
 def cyclotomic_field(level: int) -> CyclotomicField:
     """Shared field instance for a level (CycNums compare within a level)."""
     return CyclotomicField(level)
+
+
+@lru_cache(maxsize=None)
+def delta_minimal_polynomial(level: int) -> tuple[int, ...]:
+    """Coefficients (low to high) of the monic minimal polynomial m of
+    delta = zeta + 1/zeta = 2 cos(pi/l): Phi_{2l}(z) = z^h m(z + 1/z), with
+    z^k + z^-k = sum over i of (-1)^i k/(k-i) C(k-i, i) w^(k-2i) for k >= 1."""
+    phi = cyclotomic_polynomial(2 * level)
+    h = (len(phi) - 1) // 2
+    out = [phi[h]] + [0] * h
+    for k in range(1, h + 1):
+        for i in range(k // 2 + 1):
+            out[k - 2 * i] += phi[h + k] * (-1) ** i * k * math.comb(k - i, i) // (k - i)
+    return tuple(out)
+
+
+class DeltaRing:
+    """Z[delta] = Z[x]/(m), m of :func:`delta_minimal_polynomial`, degree
+    h = phi(2l)/2, basis delta^0 .. delta^(h-1): it holds the loop values of
+    the cell and trace forms.  :func:`delta_ring` gives the shared instance."""
+
+    def __init__(self, level: int):
+        field = cyclotomic_field(level)
+        self.level, self.modulus = level, delta_minimal_polynomial(level)
+        self.degree = h = len(self.modulus) - 1
+        relation = sum((c * p for c, p in zip(self.modulus, powers(field.delta, h))), field.zero)
+        if 2 * h != field.degree or self.modulus[-1] != 1 or relation:
+            raise ArithmeticError(f"m does not kill delta in Q(zeta_{2 * level})")
+        _, self._mult, self._mult_bound = _ring_tables(self.modulus, 0)
+
+    def power_table(self, upto: int) -> np.ndarray:
+        """The integer rows of delta^0 .. delta^upto, then a zero row."""
+        rows = np.array(_ring_tables(self.modulus, upto + 1)[0] + [(0,) * self.degree], dtype=object)
+        return rows.astype(int_dtype(maxabs(rows)))
+
+    def pivot_inverse(self, x: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(R, N) with x * R = N for a nonzero integer row x: the first row of
+        adj M and det M, M the multiplication by x (y @ M = x * y), by the
+        Faddeev-LeVerrier recursion M_1 = I, c_(h-k) = -tr(M M_k) / k,
+        M_(k+1) = M M_k + c_(h-k) I: adj M = (-1)^(h+1) M_h, det M = (-1)^h c_0."""
+        h = self.degree
+        m = _times(self, np.array([x], dtype=object))[0]
+        acc, c = np.zeros_like(m), 1
+        for k in range(1, h + 1):
+            acc = m @ acc + c * np.eye(h, dtype=object)
+            c = -(m @ acc).trace() // k
+        return tuple((-1) ** (h + 1) * v for v in acc[0]), (-1) ** h * c
+
+
+# The shared Z[delta] instance of a level, built on first use.
+delta_ring = lru_cache(maxsize=None)(DeltaRing)
 
 
 class CycNum:
@@ -289,27 +361,13 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse by the Galois norm.
-
-        With A = den * self (integer coefficients) and R the product of the
-        conjugates sigma_k(A), sigma_k: zeta -> zeta^k for the units k != 1
-        of Z/2l, the norm N = A * R is a nonzero integer and
-        1/self = den * R / N.
-        """
+        """Multiplicative inverse by the Galois norm: with A = den * self
+        and A * R = N (:meth:`CyclotomicField.pivot_inverse`),
+        1/self = den * R / N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        field = self.field
-        pows, order = field._zeta_powers, 2 * field.level
-        rest = None
-        for k in field._conjugates:
-            # sigma_k(A) = sum of a_j zeta^(jk), in integers from the table.
-            rows = [[v * z for z in pows[j * k % order]] for j, v in enumerate(self.num) if v]
-            conj = CycNum(field, 1, tuple(map(sum, zip(*rows))))
-            rest = conj if rest is None else rest * conj
-        norm = CycNum(field, 1, self.num) * rest
-        if norm.den != 1 or any(norm.num[1:]) or not norm.num[0]:
-            raise ArithmeticError("the conjugates do not multiply to a nonzero rational norm")
-        return CycNum._make(field, norm.num[0], [self.den * v for v in rest.num])
+        rest, norm = self.field.pivot_inverse(self.num)
+        return CycNum._make(self.field, norm, [self.den * v for v in rest])
 
     def __truediv__(self, other) -> CycNum:
         other = self._coerce(other)
@@ -699,18 +757,19 @@ def weight_planes(weights: tuple[CycNum, ...]) -> tuple[int, np.ndarray, int]:
     return den, out, maxabs(out)
 
 
-def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:
-    """Exact rank of integer coefficient planes (entry (i, j) over row i's own
-    denominator, which does not change the rank).
+def plane_rank(field: CyclotomicField | DeltaRing, planes: np.ndarray) -> int:
+    """Exact rank of integer coefficient planes over Q(zeta_{2l}) or Z[delta]
+    (entry (i, j) over row i's own denominator, which does not change it).
 
     Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): with
-    pivot * R = N an integer (the Galois norm of :meth:`CycNum.inverse`), a
+    pivot * R = N a nonzero integer (``field.pivot_inverse``, checked), a
     row with entry e in the pivot column becomes N * row - (e * R) * pivrow
-    over its content.  int64 while a bound on the update is below 2^62,
-    Python integers from the first update where it is not."""
+    over its content; the nonzero mask is rescanned on those rows only.
+    int64 while a bound on the update is below 2^62, Python integers from
+    the first update where it is not."""
     a, rank = planes, 0
+    nz = (a != 0).any(axis=2)
     while a.size:
-        nz = (a != 0).any(axis=2)
         cols = np.flatnonzero(nz.any(axis=0))
         if not cols.size:
             break
@@ -719,17 +778,20 @@ def plane_rank(field: CyclotomicField, planes: np.ndarray) -> int:
         rank += 1
         new = a[:0, col + 1 :]
         if others:
-            inv = CycNum(field, 1, tuple(map(int, a[piv, col]))).inverse()
-            factor = np.array([inv.num], dtype=object)
-            e = plane_products(field, a[others, col].astype(object), factor)[:, 0]
-            bound = inv.den * maxabs(a[others, col + 1 :])
+            r, norm = field.pivot_inverse(a[piv, col])
+            # The pivot's own product comes first and must be N: x * R = N != 0.
+            e = plane_products(field, a[[piv, *others], col].astype(object), np.array([r], dtype=object))[:, 0]
+            if not norm or e[0].tolist() != [norm] + [0] * (field.degree - 1):
+                raise ArithmeticError("the pivot inverse does not give a nonzero integer")
+            e, bound = e[1:], abs(norm) * maxabs(a[others, col + 1 :])
             if bound + maxabs(e) * maxabs(a[piv, col + 1 :]) * field._mult_bound >= _INT64_SAFE:
                 a = a.astype(object)
-            new = inv.den * a[others, col + 1 :]
+            new = norm * a[others, col + 1 :]
             new -= plane_products(field, e.astype(a.dtype), a[piv, col + 1 :])
             g = np.gcd.reduce(new.reshape(len(new), -1), axis=1)
             new = new[g != 0] // g[g != 0, None, None]
         a = np.concatenate((a[~hit, col + 1 :], new))
+        nz = np.concatenate((nz[~hit, col + 1 :], (new != 0).any(axis=2)))
     return rank
 
 

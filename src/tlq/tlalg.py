@@ -66,8 +66,10 @@ from .exactnum import (
     LinComb,
     coefficient_plane,
     cyclotomic_field,
+    delta_ring,
     mod_p_image,
     pair_sums,
+    plane_rank,
     powers,
     quantum_int,
     sums_dtype,
@@ -403,8 +405,10 @@ def trace_gram_rank(level: int, n: int) -> int:
 
     From n = level - 1 on it is the mod-p sandwich rank of
     :func:`radical_split`.  Below that there is no idempotent to pin
-    against, and the rank is found by exact elimination.
+    against, and the rank is found by exact elimination over Z[delta] of
+    delta^n times the Gram matrix (delta^c per entry, the same rank).
     """
     if n < level - 1:
-        return trace_gram_matrix(level, n).rank()
+        ring = delta_ring(level)
+        return plane_rank(ring, ring.power_table(n)[diagram_basis(0, 2 * n).trace_exponents])
     return radical_split(level, n).gram_rank

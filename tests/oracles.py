@@ -97,6 +97,23 @@ def fraction_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def fraction_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by plain Fraction elimination."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv], det = m[piv], m[col], -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return int(det)
+
+
 def modp_rank(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over GF(p) by forward elimination on Python
     ints, scanning columns for pivots."""

@@ -50,6 +50,15 @@ def test_gathered_planes_match_the_cycnum_gram_route(level):
         simple_dim_rank(1, 4, level)
 
 
+def test_delta_ring_ranks_equal_the_cyclotomic_ranks():
+    # simple_dim_rank eliminates over Z[delta]; the CycNum Gram matrix is
+    # ranked over Q(zeta_2l).  A rank does not change under field extension.
+    cells = [(t, n, level) for level in range(3, 11) for n in range(1, 10) for t in admissible_t(n)]
+    assert len(cells) == 232
+    for t, n, level in cells:
+        assert simple_dim_rank(t, n, level) == gram_matrix(t, n, level).rank(), (t, n, level)
+
+
 def test_cell_action_module_axioms():
     rng = random.Random(5)
     for level in (4, 5):

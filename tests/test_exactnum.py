@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import euclid_inverse, fraction_rank, q_poly_by_powers, quantum_int_by_ratio
+from oracles import euclid_inverse, fraction_det, fraction_rank, q_poly_by_powers, quantum_int_by_ratio
 from tlq import _intlinalg, exactnum
 from tlq.diagram import Diagram, hook_poly, nesting_forest
 from tlq.exactnum import (
@@ -23,9 +23,12 @@ from tlq.exactnum import (
     ExactMatrix,
     cyclotomic_field,
     cyclotomic_polynomial,
+    delta_minimal_polynomial,
+    delta_ring,
     mod_p_image,
     plane_rank,
     poly_divexact,
+    powers,
     quantum_int,
     rank_by_columns,
 )
@@ -284,6 +287,92 @@ def test_plane_rank_promotes_past_the_int64_bound(level):
         ranks = (m.rank(), plane_rank(field, planes), rank_by_columns(m))
         if ranks != (want,) * 3:
             raise AssertionError(ranks)
+    # The same in Z[delta]: entries near 2^40 in the delta basis, one row
+    # row0 - delta * row1, and the 2^64 determinant on constants.
+    ring = delta_ring(level)
+    big = lambda: [rng.randint(2**40 - 99, 2**40) for _ in range(ring.degree)]
+    rows = [[big() for _ in range(4)] for _ in range(3)]
+    delta = np.array([[0, 1] + [0] * (ring.degree - 2)], dtype=object)
+    shifted = exactnum.plane_products(ring, np.array(rows[1], dtype=object), delta)[:, 0]
+    rows.insert(2, (np.array(rows[0], dtype=object) - shifted).tolist())
+    const = lambda v: [v] + [0] * (ring.degree - 1)
+    wrap = [[const(2**32), const(1)], [const(2**32), const(2**32 + 1)]]
+    if abs(ring.pivot_inverse(rows[0][0])[1]) * 2**40 < 2**62:
+        raise AssertionError("the first update fits int64 in Z[delta]")
+    for matrix, want in ((rows, 3), (wrap, 2)):
+        m = ExactMatrix(field, [[_in_field(level, x) for x in row] for row in matrix])
+        ranks = (plane_rank(ring, np.array(matrix, dtype=np.int64)), m.rank(), rank_by_columns(m))
+        if ranks != (want,) * 3:
+            raise AssertionError(ranks)
+
+
+def _in_field(level, x):
+    """The element of Q(zeta_2l) with delta-basis coefficients x."""
+    field = cyclotomic_field(level)
+    return sum((c * p for c, p in zip(x, powers(field.delta, len(x)))), field.zero)
+
+
+@pytest.mark.parametrize("level", range(3, 13))
+def test_delta_ring_relation_kills_delta_in_the_field(level):
+    # m(delta) = 0 in Q(zeta_2l), exactly, at degree phi(2l)/2.
+    field, m = cyclotomic_field(level), delta_minimal_polynomial(level)
+    h = len(m) - 1
+    assert 2 * h == field.degree and m[-1] == 1
+    assert sum((c * p for c, p in zip(m, powers(field.delta, h))), field.zero) == field.zero
+    assert delta_ring(level).degree == h
+    expected = {5: (-1, -1, 1), 6: (-3, 0, 1), 7: (1, -2, -1, 1)}  # d^2 = d + 1, d^2 = 3, d^3 = d^2 + 2d - 1
+    assert m == expected.get(level, m)
+
+
+@pytest.mark.parametrize("level", (3, 4, 5, 7, 11))
+def test_delta_ring_pivot_inverse_is_the_adjugate_row(level):
+    # x * R = N with N = det M and R = N / x: checked through Q(zeta).
+    ring, field = delta_ring(level), cyclotomic_field(level)
+    rng = random.Random(level)
+    for _ in range(20):
+        x = [rng.randint(-2**20, 2**20) for _ in range(ring.degree)]
+        r, norm = ring.pivot_inverse(x)
+        assert _in_field(level, x) * _in_field(level, r) == field.from_int(norm) != field.zero
+        m = exactnum._times(ring, np.array([x], dtype=object))[0]
+        assert norm == fraction_det(m.tolist())
+
+
+@pytest.mark.parametrize("level", (3, 5, 6, 7))
+def test_delta_ring_raises_on_a_wrong_reduction_row(level, monkeypatch):
+    # delta^h reduced by one wrong coefficient: the relation must fail in
+    # Q(zeta) and the ring refuse to build, also under python -O.
+    good = delta_minimal_polynomial(level)
+    for j in range(len(good) - 1):
+        wrong = tuple(c + (i == j) for i, c in enumerate(good))
+        monkeypatch.setattr(exactnum, "delta_minimal_polynomial", lambda _: wrong)
+        with pytest.raises(ArithmeticError, match="kill delta"):
+            exactnum.DeltaRing(level)
+    monkeypatch.setattr(exactnum, "delta_minimal_polynomial", lambda _: good)
+    exactnum.DeltaRing(level)
+
+
+@pytest.mark.parametrize("level", (4, 5, 8))
+def test_plane_rank_raises_on_a_wrong_pivot_inverse(level, monkeypatch):
+    # A pivot inverse that is off by one in R, or that gives N = 0, must
+    # stop the elimination on either ring, also under python -O.
+    for ring in (delta_ring(level), cyclotomic_field(level)):
+        rng = random.Random(level)
+        planes = np.array(
+            [[[rng.randint(1, 9) for _ in range(ring.degree)] for _ in range(3)] for _ in range(3)],
+            dtype=np.int64,
+        )
+        right = type(ring).pivot_inverse
+        for wrong in (
+            lambda self, x: ((right(self, x)[0][0] + 1,) + right(self, x)[0][1:], right(self, x)[1]),
+            lambda self, x: (right(self, x)[0], right(self, x)[1] + 1),
+            lambda self, x: ((0,) * self.degree, 0),
+        ):
+            monkeypatch.setattr(type(ring), "pivot_inverse", wrong)
+            with pytest.raises(ArithmeticError, match="pivot inverse"):
+                plane_rank(ring, planes)
+        monkeypatch.setattr(type(ring), "pivot_inverse", right)
+        if plane_rank(ring, planes) != 3:
+            raise AssertionError(ring)
 
 
 def test_certified_int_rank_against_fractions():
@@ -316,7 +405,7 @@ def test_exactness_guards_raise_without_assert():
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
-        (Path(__file__).resolve(), "inverse or norm or divexact or plane_rank"),
+        (Path(__file__).resolve(), "inverse or norm or divexact or plane_rank or delta_ring"),
         (root / "tests" / "test_lincomb.py", "int64_bound or pair_sums_edge"),
         (root / "tests" / "test_tlalg.py", (
             "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"

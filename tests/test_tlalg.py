@@ -395,6 +395,14 @@ def test_trace_gram_rank_pattern():
                 assert rank == catalan(n) - ideal_dimension(level, n)
 
 
+def test_trace_gram_rank_below_the_idempotent_matches_the_cycnum_matrix():
+    # Below n = level - 1 the rank runs on Z[delta] planes of delta^n times
+    # the Gram matrix; the CycNum matrix is ranked over Q(zeta_2l).
+    for level in (4, 5, 6, 7, 8):
+        for n in range(1, min(level - 1, 7)):
+            assert trace_gram_rank(level, n) == trace_gram_matrix(level, n).rank(), (level, n)
+
+
 def test_radical_split_certificate_consistency():
     for level, n in ((4, 6), (5, 6), (6, 6)):
         split = radical_split(level, n)
