@@ -1,8 +1,10 @@
 """Cell modules W_t(n), the bilinear cell form, simple dimensions by Gram
 rank and by the alternating sum over the reflection orbit, and the
 classification checks for the semisimple quotient.  ``CellVector`` is a
-:class:`tlq.exactnum.LinComb`; the cell action and form sum on
-:func:`tlq.exactnum.pair_sums`, the annihilation check on ``table_sums``.
+:class:`tlq.exactnum.LinComb`.  The cell action and the cell form are one
+:func:`tlq.exactnum.pair_sums` call each, and the annihilation check one
+:func:`tlq.exactnum.table_sums` call per image; each returns the nonzero
+sums as CycNums.
 
 The dimension of the simple head L_t is *defined* computationally as the
 rank of the cell Gram matrix, found by exact elimination over Z[delta]
@@ -29,7 +31,6 @@ from .exactnum import (
     CyclotomicField,
     ExactMatrix,
     LinComb,
-    coefficient_plane,
     cyclotomic_field,
     delta_ring,
     pair_sums,
@@ -84,15 +85,12 @@ def cell_action(x: TLElement, v: CellVector) -> CellVector:
     basis = diagram_basis(t, n)
     composed = [compose_pairings(t, n, n, a.pairing, b.pairing) for a in v.terms for b in x.terms]
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of v.
-    results, den, sums = pair_sums(
+    sums = pair_sums(
         v.field, v.terms.values(), x.terms.values(),
         [basis.index.get(pairing, -1) for pairing, _ in composed], [l for _, l in composed],
         powers(v.field.delta, (n - t) // 2),
     )
-    return v._like(
-        (Diagram._trusted(t, n, basis.pairings[k]), v.field.from_coeffs(den, row))
-        for k, row in zip(results, sums.tolist())
-    )
+    return v._like((Diagram._trusted(t, n, basis.pairings[k]), c) for k, c in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +117,12 @@ def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
     stars = [star_pairing(t + n, d.pairing) for d in v.terms]
     composed = [compose_pairings(t, n, t, dw.pairing, sv) for sv in stars for dw in w.terms]
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of w.
-    results, den, sums = pair_sums(
+    sums = pair_sums(
         v.field, v.terms.values(), w.terms.values(),
         [0 if pairing == ident else -1 for pairing, _ in composed], [l for _, l in composed],
         powers(v.field.delta, (n - t) // 2),
     )
-    return v.field.from_coeffs(den, sums[0].tolist()) if results else v.field.zero
+    return dict(sums).get(0, v.field.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +210,6 @@ def annihilation_check(t: int, n: int, level: int) -> bool:
     for d in enumerate_monic(t, n):
         image = cell_action(ej, CellVector.from_diagram(d, level))
         support = [basis.index[b.pairing] for b in image.terms]
-        _, plane, _ = coefficient_plane(field, image.terms.values())
-        sums = table_sums(field, basis.cell_exponents[:, support], plane, weights)
-        if any(block.any() for block in sums):
+        if table_sums(field, basis.cell_exponents[:, support], image.terms.values(), weights):
             return False
     return True

@@ -7,9 +7,10 @@ parity of the transpositions needed to sort a concatenation, and each
 repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
 :class:`tlq.exactnum.LinComb` whose product is one
 :func:`tlq.exactnum.pair_sums` call over (1/2)^c and its negations, and
-``phi`` sums images by :func:`tlq.exactnum.term_sums`.  The table of images
-follows :meth:`tlq.diagram.DiagramBasis.walk`, and the dimension of its
-span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
+``phi`` is one :func:`tlq.exactnum.term_sums` call over the table images of
+its diagrams, keyed by blade mask; both return the nonzero sums as CycNums.
+The table of images follows :meth:`tlq.diagram.DiagramBasis.walk`, and the
+dimension of its span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
 """
 
 from __future__ import annotations
@@ -95,14 +96,15 @@ class BladeElement(LinComb):
         top = min(max(map(int.bit_count, e.terms), default=0) for e in (self, other))
         pairs = [_mul_basis(j, k) for j in self.terms for k in other.terms]
         met: dict[int, int] = {}
-        _, den, sums = pair_sums(
+        sums = pair_sums(
             self.field, self.terms.values(), other.terms.values(),
             [met.setdefault(mask, len(met)) for mask, _ in pairs],
             [c if c >= 0 else top - c for _, c in pairs],
             _signed_halves(top),
         )
-        # Every pair hits its mask, so the results are the masks as met.
-        return self._like((m, self.field.from_coeffs(den, r)) for m, r in zip(met, sums.tolist()))
+        # Masks are numbered as met: at large n they are too sparse to index.
+        masks = list(met)
+        return self._like((masks[k], c) for k, c in sums)
 
     def constant_term(self) -> CycNum:
         return self.coefficient(0)
@@ -171,8 +173,11 @@ def phi(x: TLElement) -> BladeElement:
     if not x.terms:
         return BladeElement.zero(x.n)
     table, index = _phi_table(x.n), diagram_basis(0, 2 * x.n).index
-    images = [table[index[d.pairing]].terms for d in x.terms]
-    return BladeElement(x.n)._like(term_sums(x.field, x.terms.values(), images).items())
+    # Each coefficient of an image times its diagram's, summed per blade mask.
+    row, masks, ys = zip(*(
+        (i, m, c) for i, d in enumerate(x.terms) for m, c in table[index[d.pairing]].terms.items()
+    ))
+    return BladeElement(x.n)._like(term_sums(x.field, x.terms.values(), ys, row, masks))
 
 
 def even_masks(n: int) -> tuple[int, ...]:

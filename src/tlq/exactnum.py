@@ -19,9 +19,12 @@ them, over Q(zeta_{2l}) or over Z[delta] (half the degree; a pivot is
 inverted by its adjugate row), and ``weighted_sums`` the one step for every
 sum of products (the ``TL_n`` product, trace and kill check, the cell action
 and form, the blade product, phi): rows scatter-added per (slot, weight),
-then contracted once with the weight planes; ``pair_sums`` (every product of
-two combinations), ``term_sums`` and ``table_sums`` feed it.  ``LinComb`` is
-the one linear-combination type.
+contracted once with the weight planes, and returned as CycNums.  Its three
+callers take CycNums and index arrays: ``pair_sums`` (every product of two
+combinations), ``term_sums`` (one product per term) and ``table_sums`` (the
+rows of an exponent table).  Each returns only the nonzero sums, as
+(result, CycNum) pairs in increasing result order, so no other module
+handles a plane for a sum.  ``LinComb`` is the one linear-combination type.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -33,7 +36,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -295,7 +298,10 @@ class CycNum:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.level, self.den, self.num))
+        # A rational hashes like the int or Fraction it equals.
+        if any(self.num[1:]):
+            return hash((self.field.level, self.den, self.num))
+        return hash(self.num[0]) if self.den == 1 else hash(Fraction(self.num[0], self.den))
 
     # -- ring operations ------------------------------------------------
 
@@ -491,10 +497,12 @@ def sums_dtype(weights: tuple[int, np.ndarray, int], bound: int):
     return int_dtype(bound * top * (len(planes) - 1) * planes.shape[-1])
 
 
-def weighted_sums(field: CyclotomicField, nslots: int, weights, dtype, blocks) -> np.ndarray:
-    """out[s] = sum of v * w_l over the entries (s, l, v) of ``blocks``, an
-    integer plane of shape (nslots, degree) over the denominator of the
-    ``weights`` of :func:`weight_planes`: the one exact product-sum step.
+def weighted_sums(field: CyclotomicField, results, den: int, weights, dtype, blocks) -> list:
+    """The one exact product-sum step: for the entries (s, l, v) of
+    ``blocks``, integer coefficient rows v over ``den``, the sum over s of
+    v * w_l for each result of ``results`` (slot s is its position), with
+    the ``weights`` of :func:`weight_planes`, as (result, CycNum) pairs for
+    the nonzero sums only.
 
     A block is arrays (slot, l, values), values of the shape of slot and l
     broadcast together, plus (degree,).  Each v is scatter-added to the
@@ -502,76 +510,79 @@ def weighted_sums(field: CyclotomicField, nslots: int, weights, dtype, blocks) -
     the planes.  Slot -1 (the drop slot) or weight index -1 (the zero
     weight), not both, drops an entry: its flat index lands in a spare last
     slot, or on the zero weight of the slot before."""
-    planes, d = weights[1], field.degree
+    planes, d, nslots = weights[1], field.degree, len(results)
     width = len(planes)
     # acc[(s * width + l) * d + k] is coefficient k of the sum for (s, l).
     acc = np.zeros((nslots + 1) * width * d, dtype=dtype)
     for slot, loops, values in blocks:
         flat = (slot * width + loops).reshape(-1, 1) * d + np.arange(d)
         np.add.at(acc, flat.ravel(), values.ravel())
-    return (acc.reshape(nslots + 1, width * d) @ planes.reshape(width * d, d))[:nslots]
+    sums = (acc.reshape(nslots + 1, width * d) @ planes.reshape(width * d, d))[:nslots]
+    den *= weights[0]
+    return [(k, field.from_coeffs(den, row)) for k, row in zip(results, sums.tolist()) if any(row)]
 
 
-def pair_sums(
-    field: CyclotomicField, xs, ys, target, index, weights: tuple
-) -> tuple[list, int, np.ndarray]:
-    """Sums of x_i * y_j * weights[index[i, j]] over the pairs (i, j) of the
-    CycNums xs, ys, one per result target[i, j] (-1 drops the pair); target
-    and index are integers of shape (len(xs), len(ys)), as arrays or flat.
-    Returns the results hit in increasing order, a common denominator and a
-    plane of :func:`weighted_sums`, one row each.  Weights past the largest
-    index are left out; the products are formed one block of rows at a time."""
-    if not len(xs) or not len(ys):
-        return [], 1, np.zeros((0, field.degree), dtype=np.int64)
-    shape = len(xs), len(ys)
-    target, index = np.asarray(target).reshape(shape), np.asarray(index).reshape(shape)
-    step = rows_per_block(len(ys))
-    blocks = [slice(i, i + step) for i in range(0, len(xs), step)]
-    # The results hit take dense slots; target -1 reads the last, the drop slot.
-    hit = np.zeros(int(target.max()) + 2, dtype=bool)
-    for rows in blocks:
-        hit[target[rows]] = True
+def _numbered(target: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The results that ``target`` hits (integers, -1 for none), in
+    increasing order, and the slot of every result index; -1 reads the
+    last entry, the drop slot."""
+    hit = np.zeros(int(target.max(initial=-1)) + 2, dtype=bool)
+    hit[target] = True
     slot = hit.cumsum() - 1
     slot[-1] = -1
+    return hit[:-1].nonzero()[0].tolist(), slot
+
+
+def pair_sums(field: CyclotomicField, xs, ys, target, index, weights: tuple) -> list:
+    """The nonzero sums of x_i * y_j * weights[index[i, j]] over the pairs
+    (i, j) of the CycNums xs, ys, one per result target[i, j] (-1 drops the
+    pair), as (result, CycNum) pairs in increasing result order; target and
+    index are integers of shape (len(xs), len(ys)), as arrays or flat.
+    Weights past the largest index are left out; the products are formed
+    one block of rows at a time."""
+    if not len(xs) or not len(ys):
+        return []
+    shape = len(xs), len(ys)
+    target, index = np.asarray(target).reshape(shape), np.asarray(index).reshape(shape)
+    results, slot = _numbered(target)
     planes = weight_planes(weights[: int(index.max()) + 1])
     (dx, a, ta), (dy, b, tb) = coefficient_plane(field, xs), coefficient_plane(field, ys)
     # Each accumulated coefficient sums at most one product per pair.
     dtype = sums_dtype(planes, ta * tb * field._mult_bound * len(a) * len(b))
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    step = rows_per_block(len(ys))
+    blocks = (slice(i, i + step) for i in range(0, len(xs), step))
     products = ((slot[target[r]], index[r], plane_products(field, a[r], b)) for r in blocks)
-    results = hit[:-1].nonzero()[0].tolist()
-    return results, dx * dy * planes[0], weighted_sums(field, len(results), planes, dtype, products)
+    return weighted_sums(field, results, dx * dy, planes, dtype, products)
 
 
-def term_sums(field: CyclotomicField, xs, images: Sequence[Mapping]) -> dict:
-    """sum of x_i * images[i] for CycNums xs and mappings images of keys to
-    CycNums: each x_i times its image's coefficients in one row-wise
-    product, summed per key by :func:`weighted_sums` with the weight one."""
-    slots: dict[Hashable, int] = {}
-    slot = np.array([slots.setdefault(k, len(slots)) for img in images for k in img], dtype=np.intp)
-    rows = np.repeat(np.arange(len(images)), [len(img) for img in images])
-    dx, a, ta = coefficient_plane(field, xs)
-    dy, b, tb = coefficient_plane(field, [c for img in images for c in img.values()])
+def term_sums(field: CyclotomicField, xs, ys, row, target) -> list:
+    """The nonzero sums of xs[row[k]] * ys[k] over the CycNums ys, one per
+    result target[k], as (result, CycNum) pairs in increasing result order:
+    each y times its x in one row-wise product, with the weight one."""
+    target = np.asarray(target, dtype=np.intp)
+    results, slot = _numbered(target)
+    (dx, a, ta), (dy, b, tb) = coefficient_plane(field, xs), coefficient_plane(field, ys)
     weights = weight_planes((field.one,))
     dtype = sums_dtype(weights, ta * tb * field._mult_bound * len(b))
-    a, b = a[rows].astype(dtype, copy=False), b.astype(dtype, copy=False)
+    a, b = a[np.asarray(row, dtype=np.intp)].astype(dtype, copy=False), b.astype(dtype, copy=False)
     values = (b[:, None, :] @ _times(field, a))[:, 0]
-    sums = weighted_sums(field, len(slots), weights, dtype, [(slot, np.zeros_like(slot), values)])
-    return {key: field.from_coeffs(dx * dy, row) for key, row in zip(slots, sums.tolist())}
+    return weighted_sums(field, results, dx * dy, weights, dtype, [(slot[target], 0 * target, values)])
 
 
-def table_sums(field: CyclotomicField, table: np.ndarray, plane: np.ndarray, weights: tuple):
-    """Yields, for one block of rows j at a time, the sums over s of
-    plane[s] * weights[table[j, s]] for an exponent table (-1 reads the zero
-    weight), planes of :func:`weighted_sums` over the denominators of plane
-    and weights."""
+def table_sums(field: CyclotomicField, table: np.ndarray, xs, weights: tuple) -> list:
+    """The nonzero sums over s of xs[s] * weights[table[j, s]] for the rows
+    j of an exponent table (-1 reads the zero weight) and the CycNums xs,
+    as (j, CycNum) pairs in increasing j, one block of rows at a time."""
+    den, plane, top = coefficient_plane(field, xs)
     planes = weight_planes(weights)
-    dtype = sums_dtype(planes, maxabs(plane) * table.shape[1])
-    step = rows_per_block(table.shape[1])
+    dtype = sums_dtype(planes, top * table.shape[1])
+    step, out = rows_per_block(table.shape[1]), []
     for i in range(0, len(table), step):
         block = table[i : i + step]
         entries = np.arange(len(block))[:, None], block, plane[None].repeat(len(block), axis=0)
-        yield weighted_sums(field, len(block), planes, dtype, [entries])
+        out += weighted_sums(field, range(i, i + len(block)), den, planes, dtype, [entries])
+    return out
 
 
 # ---------------------------------------------------------------------------

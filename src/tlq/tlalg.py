@@ -9,17 +9,17 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 factor of delta = -(q + 1/q).
 
 ``TLElement`` is a :class:`tlq.exactnum.LinComb`.  Its product, its trace
-and the check that the trace kills the Jones-Wenzl ideal sum on integer
-coefficient planes by :func:`tlq.exactnum.weighted_sums`, the one exact
-product-sum step: each coefficient is scatter-added to the accumulator row
-of (result, loop count), and one contraction with the planes of
-delta^0 .. delta^L gives every result.  A product hands the result and
-loop count of each pair to :func:`tlq.exactnum.pair_sums`: up to
-n = ``PRODUCTS_MAX_N`` read in one gather from the product table of
-``diagram_basis(0, 2n)``, past it composed, the composites numbered as met.
-The trace reads its closure loops from the identity's row of the trace
-table, and past the cutoff walks each closure, so neither the product nor
-the trace enumerates the basis there and both work at any n.
+and the check that the trace kills the Jones-Wenzl ideal are exact sums of
+:mod:`tlq.exactnum`, weighted by the powers of delta, which return the
+nonzero sums as CycNums.  A product hands the result and loop count of each
+pair to :func:`tlq.exactnum.pair_sums`: up to n = ``PRODUCTS_MAX_N`` read
+in one gather from the product table of ``diagram_basis(0, 2n)``, past it
+composed, the composites numbered as met.  The trace is one
+:func:`tlq.exactnum.table_sums` call on a one-row table of closure loops:
+the identity's row of the trace table, and past the cutoff each closure
+walked, so neither the product nor the trace enumerates the basis there
+and both work at any n.  The kill check is one ``table_sums`` call on the
+trace table's columns at the diagrams of E.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -64,7 +64,6 @@ from .exactnum import (
     CyclotomicField,
     ExactMatrix,
     LinComb,
-    coefficient_plane,
     cyclotomic_field,
     delta_ring,
     mod_p_image,
@@ -72,10 +71,7 @@ from .exactnum import (
     plane_rank,
     powers,
     quantum_int,
-    sums_dtype,
     table_sums,
-    weight_planes,
-    weighted_sums,
 )
 
 
@@ -139,14 +135,11 @@ class TLElement(LinComb):
             loops = [l for _, l in composed]
             pairings = list(met)
         # A loop closed in the glued row passes through two of its n points.
-        results, den, sums = pair_sums(
+        sums = pair_sums(
             field, self.terms.values(), other.terms.values(), target, loops,
             powers(field.delta, n // 2),
         )
-        return self._like(
-            (Diagram._trusted(n, n, pairings[k]), field.from_coeffs(den, row))
-            for k, row in zip(results, sums.tolist())
-        )
+        return self._like((Diagram._trusted(n, n, pairings[k]), c) for k, c in sums)
 
     def star(self) -> TLElement:
         """The * anti-automorphism: reflect every diagram, keep coefficients."""
@@ -200,13 +193,9 @@ def jones_trace(x: TLElement) -> CycNum:
         closure = basis.cell_exponents[basis.index[identity_pairing(n)], basis.star[pos]]
     else:
         closure = np.array([closure_loops(n, d.pairing) for d in x.terms], dtype=np.intp)
-    # Coefficients are summed per loop count c <= n, and each sum is
-    # multiplied by delta^c in one contraction.
-    den, plane, top = coefficient_plane(field, x.terms.values())
-    weights = weight_planes(powers(field.delta, n))
-    dtype = sums_dtype(weights, top * len(plane))
-    total = weighted_sums(field, 1, weights, dtype, [(np.zeros_like(closure), closure, plane)])[0]
-    return field.from_coeffs(den, total.tolist()) * _delta_inverse_power(field, n)
+    # One row: the sum of c_D delta^c(D), each loop count c <= n.
+    total = dict(table_sums(field, closure[None], x.terms.values(), powers(field.delta, n)))
+    return total.get(0, field.zero) * _delta_inverse_power(field, n)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +285,10 @@ def _assert_trace_kills_ideal(level: int, n: int):
     ej = embedded_jones_wenzl(level, n)
     field, basis = ej.field, diagram_basis(0, 2 * n)
     cols = basis.star[[basis.index[d.pairing] for d in ej.terms]]
-    _, plane, _ = coefficient_plane(field, ej.terms.values())
     # tr(E y) = delta^(-n) sum_e c_e delta^T[y, e] for the symmetric trace
     # table T, whose entries are at most n; E's columns of T are the meander
     # matrix read at the star of each E diagram.
-    sums = table_sums(field, basis.cell_exponents[:, cols], plane, powers(field.delta, n))
-    if any(block.any() for block in sums):
+    if table_sums(field, basis.cell_exponents[:, cols], ej.terms.values(), powers(field.delta, n)):
         raise ArithmeticError(f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated")
 
 

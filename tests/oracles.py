@@ -463,3 +463,41 @@ def assert_trace_kills_ideal(level: int, n: int):
             raise ArithmeticError(
                 f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated"
             )
+
+
+# The three entry points of the exact sums in tlq.exactnum, one CycNum
+# product and one CycNum sum per term, with the zero sums dropped and the
+# results sorted: the references for pair_sums, term_sums and table_sums.
+
+
+def _sorted_nonzero(out: dict) -> list[tuple[int, CycNum]]:
+    return [(k, c) for k, c in sorted(out.items()) if c]
+
+
+def pair_sums(field, xs, ys, target, index, weights) -> list[tuple[int, CycNum]]:
+    """sum of x_i y_j weights[index[i][j]] per result target[i][j] >= 0."""
+    out: dict[int, CycNum] = {}
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if target[i][j] >= 0:
+                out[target[i][j]] = out.get(target[i][j], field.zero) + x * y * weights[index[i][j]]
+    return _sorted_nonzero(out)
+
+
+def term_sums(field, xs, ys, row, target) -> list[tuple[int, CycNum]]:
+    """sum of xs[row[k]] ys[k] per result target[k]."""
+    out: dict[int, CycNum] = {}
+    for y, r, k in zip(ys, row, target):
+        out[k] = out.get(k, field.zero) + xs[r] * y
+    return _sorted_nonzero(out)
+
+
+def table_sums(field, table, xs, weights) -> list[tuple[int, CycNum]]:
+    """sum over s of xs[s] weights[table[j][s]] (-1: nothing) per row j."""
+    out: dict[int, CycNum] = {}
+    for j, entries in enumerate(table):
+        out[j] = field.zero
+        for x, e in zip(xs, entries):
+            if e >= 0:
+                out[j] = out[j] + x * weights[e]
+    return _sorted_nonzero(out)

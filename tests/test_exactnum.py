@@ -129,6 +129,23 @@ def test_q_factorial_is_a_hook_quotient():
     assert value == -field.delta  # [1][2][3] at level 4 is 1 * (-sqrt 2) * 1
 
 
+@pytest.mark.parametrize("level", LEVELS)
+def test_rational_cycnums_hash_like_their_ints_and_fractions(level):
+    # A CycNum equal to an int or a Fraction must hash like it, or sets and
+    # dicts keyed by one miss the other.
+    field = cyclotomic_field(level)
+    for value in (0, 1, -1, 7, -(2**70), Fraction(1, 2), Fraction(-5, 3), Fraction(2**65, 7)):
+        c = field.from_fraction(value)
+        assert c == value and value == c
+        assert hash(c) == hash(value)
+        assert value in {c} and c in {value}
+        assert {value: "v"}[c] == "v" and {c: "c"}[value] == "c"
+    # Equal numbers that are not rational still hash alike, and stay apart
+    # from their rational parts.
+    z = field.zeta
+    assert hash(z * 3 - z * 2) == hash(z) and z * 2 not in {2} and 2 not in {z * 2}
+
+
 def test_poly_divexact_roundtrip():
     a = _q_factorial(5)[1]
     b = _poly_mul([1, 1, 1], [1, 1, 1, 1])  # [3][4] without its power of q
