@@ -9,8 +9,9 @@ repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
 :func:`tlq.exactnum.pair_sums` call over (1/2)^c and its negations, and
 ``phi`` is one :func:`tlq.exactnum.term_sums` call over the table images of
 its diagrams, keyed by blade mask; both return the nonzero sums as CycNums.
-The table of images follows :meth:`tlq.diagram.DiagramBasis.walk`, and the
-dimension of its span is a rank on :class:`tlq._intlinalg.ModpEchelon`.
+The table of images follows :meth:`tlq.diagram.DiagramBasis.walk` of the
+right multiplications by the generators, and the dimension of its span is a
+rank on :class:`tlq._intlinalg.ModpEchelon`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _intlinalg
-from .diagram import diagram_basis, identity_pairing
+from .diagram import diagram_basis, generator_pairing, identity_pairing
 from .exactnum import (
     CycNum,
     CyclotomicField,
@@ -152,16 +153,16 @@ def phi_generator(n: int, j: int) -> BladeElement:
 
 @lru_cache(maxsize=None)
 def _phi_table(n: int) -> tuple[BladeElement, ...]:
-    """phi on every diagram of TL_n by basis position, built by loop-free left
-    multiplication from the identity along :meth:`DiagramBasis.walk`
-    (prefixes of reduced words stay loop-free)."""
+    """phi on every diagram of TL_n by basis position, built by loop-free right
+    multiplication from the identity, phi(D f_i) = phi(D) phi(f_i), along
+    :meth:`DiagramBasis.walk` of the product columns at the generators."""
     basis = diagram_basis(0, 2 * n)
     start = basis.index[identity_pairing(n)]
     images = [phi_generator(n, i) for i in range(1, n)]
+    targets, loops = basis.product_columns([basis.index[generator_pairing(n, i)] for i in range(1, n)])
     table = [BladeElement.one(n)] * len(basis.pairings)  # the walk sets all but start
-    # f_i * D is the first map of each generator's (left, right) pair.
-    for i, move, k in basis.walk(start, basis.generator_maps[::2]):
-        table[k] = images[move] * table[i]
+    for i, move, k in basis.walk(start, zip(targets.T, loops.T)):
+        table[k] = table[i] * images[move]
     return tuple(table)
 
 

@@ -17,7 +17,8 @@ on a diagram is a cup-cap rule on its pairing, and the cell form
 <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed row of
 it and a walk of the generator actions give the rest.  The product table
 needs no composed row at all: (f_k D) D' = f_k (D D'), so a walk of the
-left actions from the identity fills it, or any of its columns at any n.
+left actions from the identity fills it, or any of its columns at any n; its
+columns at the generators are the right multiplications D -> D f_i.
 
 ``hook_poly`` gives the hook quotient of an arc-nesting forest, the
 coefficient of the Jones-Wenzl idempotent, as a power of q times an integer
@@ -77,7 +78,7 @@ class Diagram:
 
 
 def identity(n: int) -> Diagram:
-    return Diagram(n, n, identity_pairing(n))
+    return Diagram._trusted(n, n, identity_pairing(n))
 
 
 def identity_pairing(n: int) -> tuple[int, ...]:
@@ -101,7 +102,7 @@ def generator_pairing(n: int, i: int) -> tuple[int, ...]:
 
 
 def generator_diagram(n: int, i: int) -> Diagram:
-    return Diagram(n, n, generator_pairing(n, i))
+    return Diagram._trusted(n, n, generator_pairing(n, i))
 
 
 def through_strands(d: Diagram) -> int:
@@ -224,7 +225,7 @@ def compose(a: Diagram, b: Diagram) -> tuple[Diagram, int]:
     if a.dst != b.src:
         raise ValueError(f"cannot glue {a.src}->{a.dst} onto {b.src}->{b.dst}")
     pairing, loops = compose_pairings(a.src, a.dst, b.dst, a.pairing, b.pairing)
-    return Diagram(a.src, b.dst, pairing), loops
+    return Diagram._trusted(a.src, b.dst, pairing), loops
 
 
 def star_pairing(size: int, pairing: tuple[int, ...]) -> tuple[int, ...]:
@@ -234,7 +235,7 @@ def star_pairing(size: int, pairing: tuple[int, ...]) -> tuple[int, ...]:
 
 def star(d: Diagram) -> Diagram:
     """Reflection in a horizontal line: an involution Diagram(t,n) -> (n,t)."""
-    return Diagram(d.dst, d.src, star_pairing(d.src + d.dst, d.pairing))
+    return Diagram._trusted(d.dst, d.src, star_pairing(d.src + d.dst, d.pairing))
 
 
 def rotate_to_flat(d: Diagram) -> Diagram:
@@ -243,7 +244,7 @@ def rotate_to_flat(d: Diagram) -> Diagram:
     With the bottom-reversed boundary encoding this is a pure re-indexing:
     the pairing tuple is unchanged.
     """
-    return Diagram(0, d.src + d.dst, d.pairing)
+    return Diagram._trusted(0, d.src + d.dst, d.pairing)
 
 
 def embed_pairing(m: int, n: int, pairing: tuple[int, ...]) -> tuple[int, ...]:
@@ -296,11 +297,11 @@ class DiagramBasis:
     """The monic (t, n)-diagrams in lexicographic order, a pairing -> position
     index, and the level-independent tables on them, built on first use.  The
     basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
-    only it has the star permutation, the trace table, the generator maps and
-    product columns, and for n <= PRODUCTS_MAX_N the product table.  The
-    generator actions are read off the pairings, the cell form table follows
-    from one composed row by the invariance <f_k x, y> = <x, f_k y>, and the
-    product columns from the identity's row by the left actions.
+    only it has the star permutation, the trace table, the product columns
+    and, for n <= PRODUCTS_MAX_N, the product table.  The generator actions
+    are read off the pairings, the cell form table follows from one composed
+    row by the invariance <f_k x, y> = <x, f_k y>, and the product columns
+    from the identity's row by the left actions.
     """
 
     def __init__(self, t: int, n: int):
@@ -346,10 +347,12 @@ class DiagramBasis:
         return tuple(out)
 
     def walk(self, start: int, moves) -> list[tuple[int, int, int]]:
-        """The breadth-first walk from D_start along the loop-free ``moves``
-        (pairs (target, loops) from ``actions``): one step (source, move,
-        diagram) per diagram reached, after the step that reached its source.
-        Raises ``ArithmeticError`` when the walk misses a diagram."""
+        """The breadth-first walk from D_start along ``moves``, pairs (target,
+        loops) per source such as ``actions`` or the product columns at the
+        generators: one step (source, move, diagram) per diagram reached, after
+        the step that reached its source.  A move with a loop returns its
+        source, so the steps stay loop-free.  Raises ``ArithmeticError`` when
+        the walk misses a diagram."""
         hops = [tgt.tolist() for tgt, _ in moves]
         reached = [False] * len(self.pairings)
         reached[start] = True
@@ -435,16 +438,6 @@ class DiagramBasis:
             loops[k] = loops[i] + closed[move, row]
             filled[k] = True
         return targets, loops
-
-    @cached_property
-    def generator_maps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Left and right multiplication by each generator f_i of TL_n as
-        weighted functional graphs on the basis: pairs (target position, loop
-        count) per source, in the order f_1 left, f_1 right, f_2 left, ...
-        On the flat points of an (m, m)-diagram, f_i * D is the action f_(m+i)
-        and D * f_i is f_(m-i)."""
-        m = self.n // 2
-        return tuple(self.actions[m - 1 + k] for i in range(1, m) for k in (i, -i))
 
 
 # The one instance per (t, n); empty when the parity fails or t > n.

@@ -141,25 +141,14 @@ def dims_by_matrix(level: int, n: int) -> dict[int, int]:
     return dict(zip(parity_labels(level, parity), vec))
 
 
-def dim_q(level: int, n: int, route: str = "matrix") -> int:
-    """dim Q_n(l) by the requested route.
-
-    "matrix": sum of squares of the matrix-route simple dimensions.
-    "quadratic": the seed quadratic form w^T M^e w (independent exponent
-    bookkeeping; must agree with "matrix").
-    "closed": the closed forms for l = 3, 4, 5, 6.
-    """
-    if route == "matrix":
-        return sum(v * v for v in dims_by_matrix(level, n).values())
-    if route == "quadratic":
-        parity = n % 2
-        w = seed_vectors(level)[parity]
-        e = 2 * _vector_exponent(level, n)
-        m = _mat_pow(two_step(level)[parity], e)
-        return sum(w[i] * m[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
-    if route == "closed":
-        return dim_q_closed(level, n)
-    raise ValueError(f"unknown route {route!r}")
+def dim_q(level: int, n: int) -> int:
+    """dim Q_n(l) as the seed quadratic form w^T M^(2e) w: its exponent
+    bookkeeping is independent of the sum of the squares of
+    :func:`dims_by_matrix`, which it must equal."""
+    parity = n % 2
+    w = seed_vectors(level)[parity]
+    m = _mat_pow(two_step(level)[parity], 2 * _vector_exponent(level, n))
+    return sum(w[i] * m[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
 
 
 def dim_q_closed(level: int, n: int) -> int:

@@ -29,7 +29,9 @@ bounds, and the exactly verified inclusion of the ideal in the radical of
 the trace (tr(E y) = 0 for every basis diagram y) turns the pair of lower
 bounds into a two-sided pin.  All three read the one indexed basis
 ``diagram_basis(0, 2n)``.  The ideal's rank takes two phases: left ideals
-from its product columns, then a closure under the right generator maps.
+from its product columns, then a closure under right multiplication by the
+generators, which is the product columns at the generators.  Both phases sum
+their rows through one checked ``np.bincount`` scatter.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .diagram import (
     diagram_basis,
     embed_pairing,
     generator_diagram,
+    generator_pairing,
     hook_poly,
     identity,
     identity_pairing,
@@ -173,7 +176,7 @@ def embed(x: TLElement, n: int) -> TLElement:
         n,
         x.field,
         {
-            Diagram(n, n, embed_pairing(x.n, n, d.pairing)): c
+            Diagram._trusted(n, n, embed_pairing(x.n, n, d.pairing)): c
             for d, c in x.terms.items()
         },
     )
@@ -292,6 +295,19 @@ def _assert_trace_kills_ideal(level: int, n: int):
         raise ArithmeticError(f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated")
 
 
+def _row_sums(targets: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Rows of length ``size``, one per row of ``terms`` (its leading axes
+    flattened): row r adds terms[r, k] at targets[r, k], ``targets``
+    broadcast to the shape of ``terms``, in one ``np.bincount``.  Every sum
+    stays exact in float64: (most terms in one slot) x (largest term) is
+    checked against 2**53 before summing."""
+    lead = np.arange(terms.size // terms.shape[-1]).reshape(*terms.shape[:-1], 1)
+    slots = (targets + size * lead).ravel()
+    if int(np.bincount(slots).max()) * int(terms.max()) >= _intlinalg._F64_SAFE:
+        raise ArithmeticError("ideal row sums would leave the exact f64 range")
+    return np.bincount(slots, terms.ravel(), size * lead.size).reshape(-1, size)
+
+
 def _ideal_span_rank_modp(
     level: int, n: int, p: int, image: Callable[[CycNum], int], target: int
 ) -> int:
@@ -300,22 +316,14 @@ def _ideal_span_rank_modp(
     row i of TL_n x sums c_j delta^loops[i, j] at targets[i, j] over the
     diagrams j of x, from the product columns.  E f_i is 0 for i < l - 1 and
     f_i E for i >= l, so L f_i lies in that span, and phase two maps only the
-    rows after L by the n - 1 right generator maps, until the rank reaches
-    ``target``.  Both phases feed ``_CHUNK`` rows at a time."""
+    rows after L by the n - 1 right multiplications D -> D f_i, the product
+    columns at the generators, until the rank reaches ``target``.  Both
+    phases sum their rows with ``_row_sums`` and feed ``_CHUNK`` at a time."""
     chunk = _intlinalg._CHUNK
     basis = diagram_basis(0, 2 * n)
     size = len(basis.pairings)
     ej = embedded_jones_wenzl(level, n)
     weight = np.array([pow(image(ej.field.delta), l, p) for l in range(n + 1)], dtype=np.float64)
-    # A row of a left ideal sums one residue below p per diagram of its
-    # generator, and E f_(l-1) has at most as many diagrams as E.
-    if len(ej.terms) * (p - 1) >= _intlinalg._F64_SAFE:
-        raise ArithmeticError("left ideal row sums would leave the exact f64 range")
-    maps = [(tgt, weight[loops]) for tgt, loops in basis.generator_maps[1::2]]
-    # np.add.at sums one fiber of a map, each term below (p-1)^2.
-    fiber = max(int(np.bincount(tgt).max()) for tgt, _ in maps)
-    if fiber * (p - 1) ** 2 >= _intlinalg._F64_SAFE:
-        raise ArithmeticError("fiber sums would leave the exact f64 range")
     ech = _intlinalg.ModpEchelon(size, p)
     for x in [ej] + ([ej * generator(n, level - 1, level)] if n >= level else []):
         done = ech.rank
@@ -323,17 +331,16 @@ def _ideal_span_rank_modp(
         coeffs = np.array([image(c) for c in x.terms.values()], dtype=np.float64)
         for r in range(0, size, chunk):
             terms = np.fmod(coeffs * weight[loops[r : r + chunk]], p)
-            slots = targets[r : r + chunk] + size * np.arange(len(terms))[:, None]
-            ech.add_rows(np.bincount(slots.ravel(), terms.ravel(), size * len(terms)).reshape(-1, size))
+            ech.add_rows(_row_sums(targets[r : r + chunk], terms, size))
+    # One map per generator, (target, weight) per source as (moves, 1, size).
+    gens = basis.product_columns([basis.index[generator_pairing(n, i)] for i in range(1, n)])
+    right, scale = gens[0].T[:, None], weight[gens[1].T[:, None]]
     # Rows from the last seed on are mapped once each, in the order they
     # entered; a row reduced since then differs from it by later rows only.
     while done < ech.rank < target:
-        rows = ech.rows[done : done + chunk // len(maps)]
+        rows = ech.rows[done : done + chunk // len(right)]
         done += len(rows)
-        candidates = np.zeros((len(maps), len(rows), size))
-        for k, (tgt, w) in enumerate(maps):
-            np.add.at(candidates[k].T, tgt, (rows * w).T)
-        ech.add_rows(candidates.reshape(-1, size))
+        ech.add_rows(_row_sums(right, rows * scale, size))
     return ech.rank
 
 

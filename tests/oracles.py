@@ -18,7 +18,6 @@ from tlq.diagram import (
     Diagram,
     closure_loops,
     compose_pairings,
-    diagram_basis,
     generator_diagram,
     generator_pairing,
     identity_pairing,
@@ -274,18 +273,23 @@ def blade_product(self: BladeElement, other: BladeElement) -> BladeElement:
 
 def phi(x: TLElement) -> BladeElement:
     """The level-4 homomorphism with each diagram image built by
-    :func:`blade_product` along the generator walk and one CycNum product
-    per (diagram, blade) term."""
+    :func:`blade_product` along a walk of composed left products
+    phi(f_i D) = phi(f_i) phi(D), and one CycNum product per (diagram, blade)
+    term."""
     n = x.n
-    basis = diagram_basis(0, 2 * n)
-    start = basis.index[identity_pairing(n)]
-    images = [phi_generator(n, i) for i in range(1, n)]
-    table = {start: BladeElement.one(n)}
-    for i, move, k in basis.walk(start, basis.generator_maps[::2]):
-        table[k] = blade_product(images[move], table[i])
+    images = [(generator_pairing(n, i), phi_generator(n, i)) for i in range(1, n)]
+    table = {identity_pairing(n): BladeElement.one(n)}
+    queue = list(table)
+    for pairing in queue:
+        for gen, image in images:
+            # f_i D stacks f_i on top of D; a product with a loop is delta D.
+            product, loops = compose_pairings(n, n, n, pairing, gen)
+            if not loops and product not in table:
+                table[product] = blade_product(image, table[pairing])
+                queue.append(product)
     out: dict[int, CycNum] = {}
     for d, c in x.terms.items():
-        for mask, b in table[basis.index[d.pairing]].terms.items():
+        for mask, b in table[d.pairing].terms.items():
             s = out.get(mask)
             out[mask] = c * b if s is None else s + c * b
     return BladeElement(n, out)

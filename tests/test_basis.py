@@ -17,6 +17,11 @@ CELLS = [(t, n) for n in range(11) for t in admissible_t(n)]
 TL_N = range(1, 8)
 
 
+def right_products(basis, n):
+    """D f_i for i = 1 .. n-1 on TL_n: the product columns at the generators."""
+    return basis.product_columns([basis.index[diagram.generator_pairing(n, i)] for i in range(1, n)])
+
+
 @pytest.mark.parametrize("t, n", CELLS)
 def test_index_and_cell_table_match_the_per_pair_loop(t, n):
     basis = diagram_basis(t, n)
@@ -44,9 +49,13 @@ def test_tl_tables_match_the_per_pair_loops(n):
     assert (star[star] == np.arange(len(star))).all()
     np.testing.assert_array_equal(basis.cell_exponents, oracles.cell_gram_exponents(0, 2 * n))
     np.testing.assert_array_equal(basis.trace_exponents, oracles.trace_exponents(n))
+    # f_i D is the action f_(n+i) on the flat points; D f_i is column f_i of
+    # the products.  The reference interleaves them: f_1 left, f_1 right, ...
     reference = oracles.generator_action_maps(n)
-    assert len(basis.generator_maps) == len(reference) == 2 * (n - 1)
-    for (tgt, loops), (ref_tgt, ref_loops) in zip(basis.generator_maps, reference):
+    right, closed = right_products(basis, n)
+    maps = list(basis.actions[n:]) + list(zip(right.T, closed.T))
+    assert len(maps) == len(reference) == 2 * (n - 1)
+    for (tgt, loops), (ref_tgt, ref_loops) in zip(maps, reference[::2] + reference[1::2]):
         np.testing.assert_array_equal(tgt, ref_tgt)
         np.testing.assert_array_equal(loops, ref_loops)
 
@@ -54,7 +63,7 @@ def test_tl_tables_match_the_per_pair_loops(n):
 def test_tables_are_read_only():
     basis = diagram_basis(0, 8)
     tables = [basis.star, basis.cell_exponents, *basis.products]
-    tables += [a for pairs in (basis.actions, basis.generator_maps) for pair in pairs for a in pair]
+    tables += [a for pair in basis.actions for a in pair]
     assert not any(a.flags.writeable for a in tables)
 
 
@@ -116,6 +125,24 @@ def test_product_columns_match_composition_past_the_cutoff(n):
     assert "products" not in vars(basis)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_right_products_match_composition(n):
+    # The ideal's right closure and the phi walk read D f_i from the product
+    # columns at the generators, on both sides of PRODUCTS_MAX_N.
+    cached = n <= diagram.PRODUCTS_MAX_N
+    basis = diagram_basis(0, 2 * n) if cached else diagram.DiagramBasis(0, 2 * n)
+    pairings = basis.pairings
+    targets, loops = right_products(basis, n)
+    assert targets.shape == loops.shape == (len(pairings), n - 1)
+    for i in range(1, n):
+        gen = diagram.generator_pairing(n, i)
+        for k, pairing in enumerate(pairings):
+            # D f_i stacks D on top of f_i.
+            composed = diagram.compose_pairings(n, n, n, gen, pairing)
+            assert (pairings[targets[k, i - 1]], loops[k, i - 1]) == composed
+    assert cached or "products" not in vars(basis)
+
+
 def test_product_table_only_on_tl_up_to_the_cutoff():
     assert diagram.PRODUCTS_MAX_N == 8
     for t, n in ((0, 2 * diagram.PRODUCTS_MAX_N + 2), (2, 6)):
@@ -139,15 +166,18 @@ def test_product_walk_raises_when_a_diagram_is_unreached(monkeypatch):
 
 def test_phi_walk_raises_when_a_diagram_is_unreached(monkeypatch):
     n = 4
-    basis = diagram_basis(0, 2 * n)
+    basis = diagram.DiagramBasis(0, 2 * n)  # a fresh instance, not the cached one
     cut = basis.index[diagram.generator_pairing(n, 1)]
-    maps = []
-    for tgt, loops in basis.generator_maps:
+    real = basis.product_columns
+
+    def cut_columns(cols):
         # Every move into D_cut from another diagram stays where it is.
-        source = np.arange(len(tgt))
-        maps.append((np.where((tgt == cut) & (source != cut), source, tgt), loops))
-    # monkeypatch puts the cached basis's own maps back afterwards.
-    monkeypatch.setattr(basis, "generator_maps", tuple(maps))
+        targets, loops = real(cols)
+        source = np.arange(len(targets))[:, None]
+        return np.where((targets == cut) & (source != cut), source, targets), loops
+
+    monkeypatch.setattr(basis, "product_columns", cut_columns)
+    monkeypatch.setattr(clifford, "diagram_basis", lambda t, n: basis)
     with pytest.raises(ArithmeticError, match="reached"):
         clifford._phi_table.__wrapped__(n)
 
@@ -162,9 +192,9 @@ def test_tl8_tables_compose_at_most_one_row(monkeypatch):
 
     monkeypatch.setattr(diagram, "compose_pairings", counted)
     basis = diagram.DiagramBasis(0, 16)  # a fresh instance, not the cached one
-    meander, maps = basis.cell_exponents, basis.generator_maps
+    meander, (right, _) = basis.cell_exponents, right_products(basis, 8)
     size = len(basis.pairings)
-    assert size == 1430 and len(calls) <= size and len(maps) == 14
+    assert size == 1430 and len(calls) <= size and right.shape == (size, 7)
     # The meander matrix is symmetric and pairs each diagram with itself to delta^8.
     assert (meander == meander.T).all() and (np.diagonal(meander) == 8).all()
 
@@ -187,7 +217,7 @@ def test_kill_check_and_phi_walk_read_tables_without_composing(monkeypatch):
     n = 5
     basis = diagram_basis(0, 2 * n)
     # The tables are built (by composing) before the patch; reading them is not.
-    basis.trace_exponents, basis.generator_maps
+    basis.trace_exponents, basis.actions
     expected = clifford._phi_table(n)
 
     def refuse(*args):

@@ -116,7 +116,8 @@ def test_dim_q_routes_and_closed_forms():
         assert dim_q(5, n) == fibonacci(2 * n - 1)
         assert dim_q(6, n) == (3 ** (n - 1) + 1) // 2
         for level in (4, 5, 6):
-            assert dim_q(level, n) == dim_q(level, n, "quadratic")
+            # The seed quadratic form against the squares of the matrix route.
+            assert dim_q(level, n) == sum(v * v for v in dims_by_matrix(level, n).values())
             assert dim_q(level, n) == routes_at(level, n, ("altsum",))[1]["altsum"]
             assert dim_q(level, n) == dim_q_closed(level, n)
     assert dim_q_closed(3, 9) == 1

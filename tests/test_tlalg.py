@@ -293,6 +293,22 @@ def test_jw_matches_recursion_oracle(level):
     assert jones_wenzl(level).element == jones_wenzl_by_recursion(level)
 
 
+def test_built_diagrams_run_no_planarity_check(monkeypatch):
+    # The basis, the hook formula's flat rotations, the embedding and the
+    # constructors below build planar pairings by construction; only a
+    # diagram from outside input is checked.
+    def refuse(pairing):
+        raise AssertionError("a planarity check ran")
+
+    monkeypatch.setattr(diagram, "_is_noncrossing_involution", refuse)
+    e = jones_wenzl.__wrapped__(9).element
+    assert len(e.terms) == len(embedded_jones_wenzl.__wrapped__(9, 9).terms) == catalan(8)
+    f1, one = diagram.generator_diagram(9, 1), identity(9)
+    assert diagram.compose(diagram.star(f1), one) == (f1, 0)
+    with pytest.raises(AssertionError, match="planarity"):
+        diagram.Diagram(2, 2, (1, 0, 3, 2))
+
+
 def test_embed():
     for level in (4, 5):
         assert embed(TLElement.one(3, level), 6) == TLElement.one(6, level)
@@ -330,30 +346,46 @@ def test_ideal_dimension_methods_agree():
 
 
 def test_generator_map_fibers_hold_at_most_n_diagrams():
-    # The ideal closure sums one fiber of a generator map with np.add.at, and
-    # its float64 bound n * (p-1)^2 < 2**53 rests on this count.
+    # Phase two of the ideal rank sums the fibers of D -> D f_i, each term
+    # below (p-1)^2, so its checked bound n (p-1)^2 < 2**53 holds at every
+    # working prime.
     for n in range(2, 8):
-        maps = diagram.diagram_basis(0, 2 * n).generator_maps
-        fibers = [int(np.bincount(tgt).max()) for tgt, _ in maps]
-        assert max(fibers) == n
+        basis = diagram.diagram_basis(0, 2 * n)
+        gens = [basis.index[diagram.generator_pairing(n, i)] for i in range(1, n)]
+        right, _ = basis.product_columns(gens)
+        assert max(int(np.bincount(tgt).max()) for tgt in right.T) == n
+        assert n * (_intlinalg._PRIME_HI - 1) ** 2 < _intlinalg._F64_SAFE
+
+
+def _ideal_rank_with_bound(monkeypatch, bound):
+    """The level-4, n = 5 ideal rank with the row sums held below ``bound``,
+    and the echelon it built (built first, under the true bound)."""
+    p = next(_intlinalg.working_primes(order=8))
+    built, real = [], _intlinalg.ModpEchelon
+
+    def echelon(ncols, p):
+        built.append(real(ncols, p))
+        monkeypatch.setattr(_intlinalg, "_F64_SAFE", bound(p))
+        return built[-1]
+
+    monkeypatch.setattr(_intlinalg, "ModpEchelon", echelon)
+    with pytest.raises(ArithmeticError, match="ideal row sums"):
+        tlalg._ideal_span_rank_modp(4, 5, p, mod_p_image(4, p), catalan(5))
+    return built[0]
 
 
 def test_ideal_closure_checks_the_fiber_bound(monkeypatch):
-    p = next(_intlinalg.working_primes(order=8))
-    image = mod_p_image(4, p)
-    monkeypatch.setattr(_intlinalg, "_F64_SAFE", 5 * (p - 1) ** 2)
-    with pytest.raises(ArithmeticError, match="fiber"):
-        tlalg._ideal_span_rank_modp(4, 5, p, image, catalan(5))
+    # A row of TL_5 E sums at most 5 residues below p per slot, since E_3 has
+    # C(3) = 5 diagrams, so phase one passes; phase two sums up to 5 terms
+    # below (p-1)^2 per slot and raises.
+    ech = _ideal_rank_with_bound(monkeypatch, lambda p: 5 * (p - 1) + 1)
+    assert 0 < ech.rank < catalan(5)
 
 
 def test_left_ideal_checks_the_column_sum_bound(monkeypatch):
-    # A row of TL_5 E sums one residue below p per diagram of E, and E_3
-    # has C(3) = 5 diagrams.
-    p = next(_intlinalg.working_primes(order=8))
-    image = mod_p_image(4, p)
-    monkeypatch.setattr(_intlinalg, "_F64_SAFE", 5 * (p - 1))
-    with pytest.raises(ArithmeticError, match="left ideal"):
-        tlalg._ideal_span_rank_modp(4, 5, p, image, catalan(5))
+    # The first rows of TL_5 E already fail, before any row enters.
+    ech = _ideal_rank_with_bound(monkeypatch, lambda p: 1)
+    assert ech.rank == 0
 
 
 @pytest.mark.parametrize("level", range(3, 8))
@@ -367,12 +399,12 @@ def test_ideal_dimension_is_catalan_minus_the_semisimple_part(level):
 
 def test_ideal_step_stays_small_in_memory():
     # At level 3, n = 8 the closure reaches rank 1429 of 1430; the echelon
-    # alone is 16 MB, and the left ideal and the right-map candidates enter
-    # in bounded blocks.
+    # alone is 16 MB, and the left ideal and the right products enter in
+    # bounded blocks.
     level, n = 3, 8
     p = next(_intlinalg.working_primes(order=2 * level))
     image = mod_p_image(level, p)
-    diagram.diagram_basis(0, 2 * n).generator_maps, embedded_jones_wenzl(level, n)
+    diagram.diagram_basis(0, 2 * n).actions, embedded_jones_wenzl(level, n)
     tracemalloc.start()
     try:
         rank = tlalg._ideal_span_rank_modp(level, n, p, image, catalan(n))
