@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _intlinalg
-from .diagram import diagram_basis, generator_pairing, identity_pairing
+from .diagram import diagram_basis, identity_pairing
 from .exactnum import (
     CycNum,
     CyclotomicField,
@@ -159,7 +159,7 @@ def _phi_table(n: int) -> tuple[BladeElement, ...]:
     basis = diagram_basis(0, 2 * n)
     start = basis.index[identity_pairing(n)]
     images = [phi_generator(n, i) for i in range(1, n)]
-    targets, loops = basis.product_columns([basis.index[generator_pairing(n, i)] for i in range(1, n)])
+    targets, loops = basis.generator_columns
     table = [BladeElement.one(n)] * len(basis.pairings)  # the walk sets all but start
     for i, move, k in basis.walk(start, zip(targets.T, loops.T)):
         table[k] = table[i] * images[move]

@@ -408,14 +408,19 @@ class DiagramBasis:
         """The product table of TL_n, n <= PRODUCTS_MAX_N: every column, read-only."""
         if self.n // 2 > PRODUCTS_MAX_N:
             raise ValueError(f"no product table on ({self.t}, {self.n})")
-        tables = self.product_columns(range(len(self.pairings)))
-        for table in tables:
-            table.setflags(write=False)
-        return tables
+        return self.product_columns(range(len(self.pairings)))
+
+    @cached_property
+    def generator_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The right multiplications D -> D f_i of TL_n, i = 1 .. n-1, at any n:
+        the product columns at the generators."""
+        m = self.n // 2
+        return self.product_columns([self.index[generator_pairing(m, i)] for i in range(1, m)])
 
     def product_columns(self, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Columns ``cols`` of the product table of TL_n, at any n: targets[i, c]
-        is the position of D_i D_cols[c] (D_i on top) and loops[i, c] its loops.
+        """Columns ``cols`` of the product table of TL_n, at any n, read-only:
+        targets[i, c] is the position of D_i D_cols[c] (D_i on top) and
+        loops[i, c] its loops.
 
         Nothing is composed: the identity's row is ``cols``, the row of f_k D
         is f_k's left action read at the row of D plus its loops, one gather
@@ -437,6 +442,8 @@ class DiagramBasis:
             targets[k] = hops[move, row]
             loops[k] = loops[i] + closed[move, row]
             filled[k] = True
+        targets.setflags(write=False)
+        loops.setflags(write=False)
         return targets, loops
 
 

@@ -53,7 +53,6 @@ from .diagram import (
     diagram_basis,
     embed_pairing,
     generator_diagram,
-    generator_pairing,
     hook_poly,
     identity,
     identity_pairing,
@@ -332,9 +331,10 @@ def _ideal_span_rank_modp(
         for r in range(0, size, chunk):
             terms = np.fmod(coeffs * weight[loops[r : r + chunk]], p)
             ech.add_rows(_row_sums(targets[r : r + chunk], terms, size))
-    # One map per generator, (target, weight) per source as (moves, 1, size).
-    gens = basis.product_columns([basis.index[generator_pairing(n, i)] for i in range(1, n)])
-    right, scale = gens[0].T[:, None], weight[gens[1].T[:, None]]
+    if done < ech.rank < target:
+        # One map per generator, (target, weight) per source as (moves, 1, size).
+        targets, loops = basis.generator_columns
+        right, scale = targets.T[:, None], weight[loops.T[:, None]]
     # Rows from the last seed on are mapped once each, in the order they
     # entered; a row reduced since then differs from it by later rows only.
     while done < ech.rank < target:

@@ -17,11 +17,6 @@ CELLS = [(t, n) for n in range(11) for t in admissible_t(n)]
 TL_N = range(1, 8)
 
 
-def right_products(basis, n):
-    """D f_i for i = 1 .. n-1 on TL_n: the product columns at the generators."""
-    return basis.product_columns([basis.index[diagram.generator_pairing(n, i)] for i in range(1, n)])
-
-
 @pytest.mark.parametrize("t, n", CELLS)
 def test_index_and_cell_table_match_the_per_pair_loop(t, n):
     basis = diagram_basis(t, n)
@@ -52,7 +47,7 @@ def test_tl_tables_match_the_per_pair_loops(n):
     # f_i D is the action f_(n+i) on the flat points; D f_i is column f_i of
     # the products.  The reference interleaves them: f_1 left, f_1 right, ...
     reference = oracles.generator_action_maps(n)
-    right, closed = right_products(basis, n)
+    right, closed = basis.generator_columns
     maps = list(basis.actions[n:]) + list(zip(right.T, closed.T))
     assert len(maps) == len(reference) == 2 * (n - 1)
     for (tgt, loops), (ref_tgt, ref_loops) in zip(maps, reference[::2] + reference[1::2]):
@@ -62,7 +57,7 @@ def test_tl_tables_match_the_per_pair_loops(n):
 
 def test_tables_are_read_only():
     basis = diagram_basis(0, 8)
-    tables = [basis.star, basis.cell_exponents, *basis.products]
+    tables = [basis.star, basis.cell_exponents, *basis.products, *basis.generator_columns]
     tables += [a for pair in basis.actions for a in pair]
     assert not any(a.flags.writeable for a in tables)
 
@@ -132,7 +127,7 @@ def test_right_products_match_composition(n):
     cached = n <= diagram.PRODUCTS_MAX_N
     basis = diagram_basis(0, 2 * n) if cached else diagram.DiagramBasis(0, 2 * n)
     pairings = basis.pairings
-    targets, loops = right_products(basis, n)
+    targets, loops = basis.generator_columns
     assert targets.shape == loops.shape == (len(pairings), n - 1)
     for i in range(1, n):
         gen = diagram.generator_pairing(n, i)
@@ -168,15 +163,11 @@ def test_phi_walk_raises_when_a_diagram_is_unreached(monkeypatch):
     n = 4
     basis = diagram.DiagramBasis(0, 2 * n)  # a fresh instance, not the cached one
     cut = basis.index[diagram.generator_pairing(n, 1)]
-    real = basis.product_columns
-
-    def cut_columns(cols):
-        # Every move into D_cut from another diagram stays where it is.
-        targets, loops = real(cols)
-        source = np.arange(len(targets))[:, None]
-        return np.where((targets == cut) & (source != cut), source, targets), loops
-
-    monkeypatch.setattr(basis, "product_columns", cut_columns)
+    targets, loops = basis.generator_columns
+    # Every move into D_cut from another diagram stays where it is.
+    source = np.arange(len(targets))[:, None]
+    cut_targets = np.where((targets == cut) & (source != cut), source, targets)
+    monkeypatch.setattr(basis, "generator_columns", (cut_targets, loops))
     monkeypatch.setattr(clifford, "diagram_basis", lambda t, n: basis)
     with pytest.raises(ArithmeticError, match="reached"):
         clifford._phi_table.__wrapped__(n)
@@ -192,7 +183,7 @@ def test_tl8_tables_compose_at_most_one_row(monkeypatch):
 
     monkeypatch.setattr(diagram, "compose_pairings", counted)
     basis = diagram.DiagramBasis(0, 16)  # a fresh instance, not the cached one
-    meander, (right, _) = basis.cell_exponents, right_products(basis, 8)
+    meander, (right, _) = basis.cell_exponents, basis.generator_columns
     size = len(basis.pairings)
     assert size == 1430 and len(calls) <= size and right.shape == (size, 7)
     # The meander matrix is symmetric and pairs each diagram with itself to delta^8.

@@ -426,7 +426,7 @@ def test_exactness_guards_raise_without_assert():
         (root / "tests" / "test_lincomb.py", "int64_bound or pair_sums_edge"),
         (root / "tests" / "test_tlalg.py", (
             "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"
-            " or fiber_bound or column_sum_bound"
+            " or fiber_bound or column_sum_bound or row_sums_bound"
         )),
         (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises or phi_walk_raises"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),

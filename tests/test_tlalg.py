@@ -350,11 +350,32 @@ def test_generator_map_fibers_hold_at_most_n_diagrams():
     # below (p-1)^2, so its checked bound n (p-1)^2 < 2**53 holds at every
     # working prime.
     for n in range(2, 8):
-        basis = diagram.diagram_basis(0, 2 * n)
-        gens = [basis.index[diagram.generator_pairing(n, i)] for i in range(1, n)]
-        right, _ = basis.product_columns(gens)
+        right, _ = diagram.diagram_basis(0, 2 * n).generator_columns
         assert max(int(np.bincount(tgt).max()) for tgt in right.T) == n
         assert n * (_intlinalg._PRIME_HI - 1) ** 2 < _intlinalg._F64_SAFE
+
+
+@pytest.mark.parametrize("k, t", [(1, 7), (5, 3), (7, 2**50 + 1)])
+def test_row_sums_bound_counts_terms_per_slot(monkeypatch, k, t):
+    # Row 0 puts k terms t in slot 2, row 1 puts k ones there; the check
+    # reads (most terms in one slot of one row) x (largest term) = k t.
+    targets = np.array([[2] * k + [0]])
+    terms = np.array([[t] * k + [1], [1] * (k + 1)], dtype=np.float64)
+    monkeypatch.setattr(_intlinalg, "_F64_SAFE", k * t + 1)
+    rows = tlalg._row_sums(targets, terms, 4)
+    assert rows.tolist() == [[1, 0, k * t, 0], [1, 0, k, 0]]
+    monkeypatch.setattr(_intlinalg, "_F64_SAFE", k * t)
+    with pytest.raises(ArithmeticError, match="ideal row sums"):
+        tlalg._row_sums(targets, terms, 4)
+
+
+def test_row_sums_bound_catches_many_terms_below_2_53():
+    # Each term is exact in float64 but three of them sum past 2**53, where
+    # float64 rounds the odd total: the check raises before summing.
+    t = 2**52 + 1
+    assert t < _intlinalg._F64_SAFE <= 3 * t and int(np.bincount([0] * 3, [t] * 3)[0]) != 3 * t
+    with pytest.raises(ArithmeticError, match="ideal row sums"):
+        tlalg._row_sums(np.zeros((1, 3), dtype=np.intp), np.full((1, 3), float(t)), 1)
 
 
 def _ideal_rank_with_bound(monkeypatch, bound):
@@ -376,15 +397,21 @@ def _ideal_rank_with_bound(monkeypatch, bound):
 
 def test_ideal_closure_checks_the_fiber_bound(monkeypatch):
     # A row of TL_5 E sums at most 5 residues below p per slot, since E_3 has
-    # C(3) = 5 diagrams, so phase one passes; phase two sums up to 5 terms
-    # below (p-1)^2 per slot and raises.
-    ech = _ideal_rank_with_bound(monkeypatch, lambda p: 5 * (p - 1) + 1)
+    # C(3) = 5 diagrams, so phase one passes.  A phase-two term is a residue
+    # below p times delta^l mod p for some l <= 5, so below the bound; a
+    # fiber of several such terms reaches it.
+    def bound(p):
+        delta = mod_p_image(4, p)(cyclotomic_field(4).delta)
+        return (p - 1) * max(pow(delta, l, p) for l in range(6)) + 1
+
+    ech = _ideal_rank_with_bound(monkeypatch, bound)
     assert 0 < ech.rank < catalan(5)
 
 
 def test_left_ideal_checks_the_column_sum_bound(monkeypatch):
-    # The first rows of TL_5 E already fail, before any row enters.
-    ech = _ideal_rank_with_bound(monkeypatch, lambda p: 1)
+    # Every phase-one term is a residue below p, and so below the bound; the
+    # slots where several diagrams of E land fail, before any row enters.
+    ech = _ideal_rank_with_bound(monkeypatch, lambda p: p)
     assert ech.rank == 0
 
 
