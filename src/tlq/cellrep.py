@@ -1,10 +1,10 @@
 """Cell modules W_t(n), the bilinear cell form, simple dimensions by Gram
 rank and by the alternating sum over the reflection orbit, and the
 classification checks for the semisimple quotient.  ``CellVector`` is a
-:class:`tlq.exactnum.LinComb`.  The cell action and the cell form are one
-:func:`tlq.exactnum.pair_sums` call each, and the annihilation check one
-:func:`tlq.exactnum.table_sums` call per image; each returns the nonzero
-sums as CycNums.
+:class:`tlq.exactnum.LinComb`.  The cell action (composed) and the form
+(read from the cell form table) are one :func:`tlq.exactnum.pair_sums` call
+each, the annihilation check one :func:`tlq.exactnum.table_sums` call per
+image on that table; each returns the nonzero sums as CycNums.
 
 The dimension of the simple head L_t is *defined* computationally as the
 rank of the cell Gram matrix, found by exact elimination over Z[delta]
@@ -18,14 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .diagram import (
-    Diagram,
-    compose_pairings,
-    diagram_basis,
-    enumerate_monic,
-    identity_pairing,
-    star_pairing,
-)
+import numpy as np
+
+from .diagram import Diagram, compose_pairings, diagram_basis, enumerate_monic
 from .exactnum import (
     CycNum,
     CyclotomicField,
@@ -110,17 +105,15 @@ def gram_matrix(t: int, n: int, level: int) -> ExactMatrix:
 
 
 def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
-    """The bilinear cell form phi_t(v, w)."""
+    """The bilinear cell form phi_t(v, w), read from the cell form table."""
     v._check_compatible(w)
-    t, n = v.t, v.n
-    ident = identity_pairing(t)
-    stars = [star_pairing(t + n, d.pairing) for d in v.terms]
-    composed = [compose_pairings(t, n, t, dw.pairing, sv) for sv in stars for dw in w.terms]
-    # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of w.
+    basis = diagram_basis(v.t, v.n)
+    pv, pw = ([basis.index[d.pairing] for d in x.terms] for x in (v, w))
+    expo = basis.cell_exponents[np.ix_(pv, pw)]
+    # A vanishing pairing drops by its target; its weight index stays valid.
     sums = pair_sums(
-        v.field, v.terms.values(), w.terms.values(),
-        [0 if pairing == ident else -1 for pairing, _ in composed], [l for _, l in composed],
-        powers(v.field.delta, (n - t) // 2),
+        v.field, v.terms.values(), w.terms.values(), np.where(expo >= 0, 0, -1),
+        expo.clip(0), powers(v.field.delta, (v.n - v.t) // 2),
     )
     return dict(sums).get(0, v.field.zero)
 

@@ -159,10 +159,10 @@ def _phi_table(n: int) -> tuple[BladeElement, ...]:
     basis = diagram_basis(0, 2 * n)
     start = basis.index[identity_pairing(n)]
     images = [phi_generator(n, i) for i in range(1, n)]
-    targets, loops = basis.generator_columns
     table = [BladeElement.one(n)] * len(basis.pairings)  # the walk sets all but start
-    for i, move, k in basis.walk(start, zip(targets.T, loops.T)):
-        table[k] = table[i] * images[move]
+    for steps in basis.walk(start, basis.generator_columns[0].T):
+        for i, move, k in steps:
+            table[k] = table[i] * images[move]
     return tuple(table)
 
 

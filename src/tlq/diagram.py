@@ -10,15 +10,16 @@ line, and the flat (0, t+n)-form of a diagram *is* its pairing tuple.
 
 All functions here are pure and all values immutable.  ``diagram_basis``
 is the one indexed basis of monic (t, n)-diagrams per (t, n), and the level
-independent tables (generator actions, cell form, trace, and the TL_n
+independent tables (generator moves, cell form, trace, and the TL_n
 product table for n <= ``PRODUCTS_MAX_N``) hang off it.  The tables are
-built without composing pairs of diagrams: the action of each generator f_k
-on a diagram is a cup-cap rule on its pairing, and the cell form
-<x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed row of
-it and a walk of the generator actions give the rest.  The product table
-needs no composed row at all: (f_k D) D' = f_k (D D'), so a walk of the
-left actions from the identity fills it, or any of its columns at any n; its
-columns at the generators are the right multiplications D -> D f_i.
+built without composing pairs of diagrams: each generator f_k moves a
+diagram by a cup-cap rule on its pairing, all k in one stacked array, and
+the cell form <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one
+composed row of it and a walk of the moves by rounds give the rest.  On
+TL_n the moves of the bottom points are the right multiplications
+D -> D f_i, the product columns at the generators, and those of the top
+points fill the rest of any column at any n, one gather per round, since
+(f_k D) D' = f_k (D D').  The trace table is the meander read at star.
 
 ``hook_poly`` gives the hook quotient of an arc-nesting forest, the
 coefficient of the Jones-Wenzl idempotent, as a power of q times an integer
@@ -298,10 +299,12 @@ class DiagramBasis:
     index, and the level-independent tables on them, built on first use.  The
     basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
     only it has the star permutation, the trace table, the product columns
-    and, for n <= PRODUCTS_MAX_N, the product table.  The generator actions
-    are read off the pairings, the cell form table follows from one composed
-    row by the invariance <f_k x, y> = <x, f_k y>, and the product columns
-    from the identity's row by the left actions.
+    and, for n <= PRODUCTS_MAX_N, the product table.  The generator moves
+    ``actions`` are one stacked pair read off the pairings, and the right
+    moves of TL_n (``generator_columns``) are views of it.  The cell form
+    table follows from one composed row by <f_k x, y> = <x, f_k y>, and the
+    product columns from the identity's row by the left moves, a round at a
+    time.
     """
 
     def __init__(self, t: int, n: int):
@@ -317,59 +320,63 @@ class DiagramBasis:
         return out
 
     @cached_property
-    def actions(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """f_k stacked on top of each diagram, for k = 1 .. n-1: pairs (target
-        position, loop count) per source, the target -1 where the through-degree
-        drops.  Each entry is the cup-cap rule on the top points a = t+k-1 and
-        a+1, with no composition: joined to each other, they close a loop on
-        the same diagram; both through strands, the product is not monic;
-        otherwise they are joined to each other and their partners likewise."""
-        t, index = self.t, self.index
-        size = len(self.pairings)
-        out = []
-        for a in range(t, t + self.n - 1):
-            b = a + 1
-            tgt = np.empty(size, dtype=np.intp)
-            loops = np.zeros(size, dtype=np.int64)
+    def actions(self) -> tuple[np.ndarray, np.ndarray]:
+        """f_k stacked on top of each diagram, k = 1 .. n-1: read-only
+        (targets, loops) of shape (n-1, size), row k-1 the target position and
+        loops per source, the target -1 where the through-degree drops.  Each
+        entry is the cup-cap rule on the top points a = t+k-1 and a+1, with no
+        composition: joined to each other, they close a loop on the same
+        diagram; both through strands, the product is not monic; otherwise
+        they are joined to each other and their partners likewise.  On TL_n,
+        the basis (0, 2n), row n-1-i is D -> D f_i, row n-1+i D -> f_i D."""
+        t, index, size = self.t, self.index, len(self.pairings)
+        targets = np.empty((max(self.n - 1, 0), size), dtype=np.intp)
+        loops = np.zeros_like(targets, dtype=np.int8)
+        for move, a in enumerate(range(t, t + self.n - 1)):
+            b, row = a + 1, []
             for i, p in enumerate(self.pairings):
                 pa, pb = p[a], p[b]
                 if pa == b:
-                    tgt[i], loops[i] = i, 1
+                    row.append(i)
+                    loops[move, i] = 1
                 elif pa < t and pb < t:
-                    tgt[i] = -1
+                    row.append(-1)
                 else:
                     q = list(p)
                     q[a], q[b], q[pa], q[pb] = b, a, pb, pa
-                    tgt[i] = index[tuple(q)]
-            tgt.setflags(write=False)
-            loops.setflags(write=False)
-            out.append((tgt, loops))
-        return tuple(out)
+                    row.append(index[tuple(q)])
+            targets[move] = row
+        targets.setflags(write=False)
+        loops.setflags(write=False)
+        return targets, loops
 
-    def walk(self, start: int, moves) -> list[tuple[int, int, int]]:
-        """The breadth-first walk from D_start along ``moves``, pairs (target,
-        loops) per source such as ``actions`` or the product columns at the
-        generators: one step (source, move, diagram) per diagram reached, after
-        the step that reached its source.  A move with a loop returns its
-        source, so the steps stay loop-free.  Raises ``ArithmeticError`` when
-        the walk misses a diagram."""
-        hops = [tgt.tolist() for tgt, _ in moves]
-        reached = [False] * len(self.pairings)
+    def walk(self, start: int, hops: np.ndarray) -> list[list[tuple[int, int, int]]]:
+        """The breadth-first walk from D_start along the stacked target
+        array ``hops`` (move, source), such as rows of ``actions``: round r
+        holds one step (source, move, diagram) per diagram first reached in
+        r moves, its source in round r - 1.  A move with a loop returns its
+        source, so the steps stay loop-free.  Raises ``ArithmeticError``
+        when the walk misses a diagram."""
+        hops, reached = hops.tolist(), [False] * len(self.pairings)
         reached[start] = True
-        queue, steps = [start], []
-        for i in queue:
-            for move, targets in enumerate(hops):
-                k = targets[i]
-                if k >= 0 and not reached[k]:
-                    reached[k] = True
-                    queue.append(k)
-                    steps.append((i, move, k))
-        if len(queue) < len(reached):
+        rounds, frontier = [], [start]
+        while frontier:
+            steps = []
+            for i in frontier:
+                for move, targets in enumerate(hops):
+                    k = targets[i]
+                    if k >= 0 and not reached[k]:
+                        reached[k] = True
+                        steps.append((i, move, k))
+            if steps:
+                rounds.append(steps)
+            frontier = [k for _, _, k in steps]
+        if not all(reached):
             raise ArithmeticError(
-                f"the generator walk reached {len(queue)} of {len(reached)} diagrams"
+                f"the generator walk reached {sum(reached)} of {len(reached)} diagrams"
                 f" of ({self.t}, {self.n})"
             )
-        return steps
+        return rounds
 
     @cached_property
     def cell_exponents(self) -> np.ndarray:
@@ -390,18 +397,21 @@ class DiagramBasis:
                 pairing, loops = compose_pairings(t, n, t, p, first)
                 if pairing == ident:
                     out[0, j] = loops
-            for i, move, k in self.walk(0, self.actions):
-                tgt, loops = self.actions[move]
-                moved = out[i][tgt]
-                out[k] = np.where((tgt >= 0) & (moved >= 0), moved + loops, -1)
+            targets, loops = self.actions
+            for steps in self.walk(0, targets):
+                for i, move, k in steps:
+                    tgt = targets[move]
+                    moved = out[i][tgt]
+                    out[k] = np.where((tgt >= 0) & (moved >= 0), moved + loops[move], -1)
         out.setflags(write=False)
         return out
 
-    @property
-    def trace_exponents(self) -> np.ndarray:
-        """tr(D_i D_j) = delta^(exponents[i, j] - n) in TL_n: the meander matrix,
-        its columns permuted by star, as a fresh copy (only the meander is kept)."""
-        return self.cell_exponents[:, self.star]
+    def trace_columns(self, cols) -> np.ndarray:
+        """Columns ``cols`` (an index, ``slice(None)`` for all) of the trace
+        table of TL_n, a fresh array: tr(D_i D_cols[c]) = delta^(out[i, c] - n).
+        The table is the meander matrix read at the star of each column, and
+        symmetric, so column D is also row D."""
+        return self.cell_exponents[:, self.star[cols]]
 
     @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
@@ -410,12 +420,14 @@ class DiagramBasis:
             raise ValueError(f"no product table on ({self.t}, {self.n})")
         return self.product_columns(range(len(self.pairings)))
 
-    @cached_property
+    @property
     def generator_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The right multiplications D -> D f_i of TL_n, i = 1 .. n-1, at any n:
-        the product columns at the generators."""
-        m = self.n // 2
-        return self.product_columns([self.index[generator_pairing(m, i)] for i in range(1, m)])
+        """The product columns at the generators f_1 .. f_(n-1) of TL_n, at
+        any n: the right moves D -> D f_i, read-only transposed views of rows
+        n-2 .. 0 of ``actions``."""
+        if self.t:
+            raise ValueError(f"no product table on ({self.t}, {self.n})")
+        return tuple(table[: self.n // 2 - 1][::-1].T for table in self.actions)
 
     def product_columns(self, cols) -> tuple[np.ndarray, np.ndarray]:
         """Columns ``cols`` of the product table of TL_n, at any n, read-only:
@@ -423,25 +435,21 @@ class DiagramBasis:
         loops[i, c] its loops.
 
         Nothing is composed: the identity's row is ``cols``, the row of f_k D
-        is f_k's left action read at the row of D plus its loops, one gather
-        per round of the left walk (its moves whose source row is filled)."""
+        is f_k's left move read at the row of D plus its loops, one gather
+        per round of the walk of the left moves."""
         if self.t:
             raise ValueError(f"no product table on ({self.t}, {self.n})")
         m, size = self.n // 2, len(self.pairings)
-        hops, closed = np.array(self.actions[m:], dtype=np.intp).reshape(-1, 2, size).swapaxes(0, 1)
+        hops, closed = (table[m:] for table in self.actions)
         targets = np.empty((size, len(cols)), dtype=np.int16 if size < 2**15 else np.intp)
         loops = np.empty((size, len(cols)), dtype=np.int8)
         start = self.index[identity_pairing(m)]
         targets[start], loops[start] = cols, 0
-        steps = np.array(self.walk(start, self.actions[m:]), dtype=np.intp).reshape(-1, 3)
-        filled = np.arange(size) == start
-        while steps.size:
-            ready = filled[steps[:, 0]]
-            (i, move, k), steps = steps[ready].T, steps[~ready]
+        for steps in self.walk(start, hops):
+            i, move, k = np.array(steps).T
             row, move = targets[i], move[:, None]
             targets[k] = hops[move, row]
             loops[k] = loops[i] + closed[move, row]
-            filled[k] = True
         targets.setflags(write=False)
         loops.setflags(write=False)
         return targets, loops

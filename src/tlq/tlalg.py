@@ -16,10 +16,10 @@ pair to :func:`tlq.exactnum.pair_sums`: up to n = ``PRODUCTS_MAX_N`` read
 in one gather from the product table of ``diagram_basis(0, 2n)``, past it
 composed, the composites numbered as met.  The trace is one
 :func:`tlq.exactnum.table_sums` call on a one-row table of closure loops:
-the identity's row of the trace table, and past the cutoff each closure
-walked, so neither the product nor the trace enumerates the basis there
-and both work at any n.  The kill check is one ``table_sums`` call on the
-trace table's columns at the diagrams of E.
+the identity's column of the trace table (``DiagramBasis.trace_columns``),
+and past the cutoff each closure walked, so neither the product nor the
+trace enumerates the basis there and both work at any n.  The kill check is
+one ``table_sums`` call on the trace table's columns at the diagrams of E.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -29,9 +29,9 @@ bounds, and the exactly verified inclusion of the ideal in the radical of
 the trace (tr(E y) = 0 for every basis diagram y) turns the pair of lower
 bounds into a two-sided pin.  All three read the one indexed basis
 ``diagram_basis(0, 2n)``.  The ideal's rank takes two phases: left ideals
-from its product columns, then a closure under right multiplication by the
-generators, which is the product columns at the generators.  Both phases sum
-their rows through one checked ``np.bincount`` scatter.
+from its product columns, then a closure under the right moves D -> D f_i,
+views of its generator moves.  Both phases sum their rows through one
+checked ``np.bincount`` scatter.
 """
 
 from __future__ import annotations
@@ -188,11 +188,10 @@ def jones_trace(x: TLElement) -> CycNum:
     if not x.terms:
         return field.zero
     if n <= PRODUCTS_MAX_N:
-        # tr(D) = tr(1 D): c is the identity's row of the trace table, the
-        # meander matrix with its columns permuted by star.
+        # tr(D) = tr(D 1): c is the identity's column of the trace table.
         basis = diagram_basis(0, 2 * n)
-        pos = np.array([basis.index[d.pairing] for d in x.terms], dtype=np.intp)
-        closure = basis.cell_exponents[basis.index[identity_pairing(n)], basis.star[pos]]
+        pos = [basis.index[d.pairing] for d in x.terms]
+        closure = basis.trace_columns([basis.index[identity_pairing(n)]])[pos, 0]
     else:
         closure = np.array([closure_loops(n, d.pairing) for d in x.terms], dtype=np.intp)
     # One row: the sum of c_D delta^c(D), each loop count c <= n.
@@ -267,7 +266,7 @@ def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     # A closed picture on 2n points has at most n loops.
     dinv_n = _delta_inverse_power(field, n)
     scaled = [p * dinv_n for p in powers(field.delta, n)]
-    expo = diagram_basis(0, 2 * n).trace_exponents
+    expo = diagram_basis(0, 2 * n).trace_columns(slice(None))
     return ExactMatrix(field, [[scaled[c] for c in row] for row in expo.tolist()])
 
 
@@ -286,11 +285,10 @@ def _assert_trace_kills_ideal(level: int, n: int):
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
     ej = embedded_jones_wenzl(level, n)
     field, basis = ej.field, diagram_basis(0, 2 * n)
-    cols = basis.star[[basis.index[d.pairing] for d in ej.terms]]
+    cols = basis.trace_columns([basis.index[d.pairing] for d in ej.terms])
     # tr(E y) = delta^(-n) sum_e c_e delta^T[y, e] for the symmetric trace
-    # table T, whose entries are at most n; E's columns of T are the meander
-    # matrix read at the star of each E diagram.
-    if table_sums(field, basis.cell_exponents[:, cols], ej.terms.values(), powers(field.delta, n)):
+    # table T, whose entries are at most n.
+    if table_sums(field, cols, ej.terms.values(), powers(field.delta, n)):
         raise ArithmeticError(f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated")
 
 
@@ -315,9 +313,9 @@ def _ideal_span_rank_modp(
     row i of TL_n x sums c_j delta^loops[i, j] at targets[i, j] over the
     diagrams j of x, from the product columns.  E f_i is 0 for i < l - 1 and
     f_i E for i >= l, so L f_i lies in that span, and phase two maps only the
-    rows after L by the n - 1 right multiplications D -> D f_i, the product
-    columns at the generators, until the rank reaches ``target``.  Both
-    phases sum their rows with ``_row_sums`` and feed ``_CHUNK`` at a time."""
+    rows after L by the n - 1 right moves D -> D f_i (``generator_columns``)
+    until the rank reaches ``target``.  Both phases sum their rows with
+    ``_row_sums`` and feed ``_CHUNK`` at a time."""
     chunk = _intlinalg._CHUNK
     basis = diagram_basis(0, 2 * n)
     size = len(basis.pairings)
@@ -404,5 +402,5 @@ def trace_gram_rank(level: int, n: int) -> int:
     """
     if n < level - 1:
         ring = delta_ring(level)
-        return plane_rank(ring, ring.power_table(n)[diagram_basis(0, 2 * n).trace_exponents])
+        return plane_rank(ring, ring.power_table(n)[diagram_basis(0, 2 * n).trace_columns(slice(None))])
     return radical_split(level, n).gram_rank

@@ -374,7 +374,7 @@ def radical_suite(max_n: int = 8) -> Checks:
 @_suite
 def classification_suite(max_n: int = 10) -> Checks:
     """E maps W_t into the radical of the cell form exactly when t <= l-2,
-    up to the rank reach: the check builds the exact cell Gram matrix."""
+    up to ``REACH["rank"]``: each image under E against the cell form table."""
     max_n = min(max_n, REACH["rank"])
     for level in (4, 5, 6):
         ns = range(level - 1, max_n + 1)
