@@ -10,6 +10,16 @@ FFLAS-FFPACK: every intermediate value is kept below 2**53 by construction,
 and the bounds that depend on the input are checked with explicit raises,
 which ``python -O`` keeps.
 
+Every reduction mod p is one routine, :func:`_mod`: x - p floor(x (1/p))
+and one correction each way, exact for every float64 integer
+0 <= x < 2**53 at every prime below ``_PRIME_HI``.  ``_gauss_jordan``
+eliminates by recursive halving, in the delayed-reduction, Schur-complement
+scheme of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+top half, one product to reduce the bottom half, bottom half, one product
+to reduce the top half, and pivot by pivot only on blocks of at most
+``_BASE`` rows.  Every product mod p goes through ``_chunked_matmul_mod``,
+whose sums of at most ``_CHUNK`` terms stay below _CHUNK p**2 < 2**53.
+
 The second half, a certified integer rank (``dixon_solve``,
 ``verify_product_identity``, ``certified_rank``), is called by no engine
 route.  It stays only because the benchmark tracer, ``tlqbench/tracer.py``,
@@ -34,9 +44,13 @@ from typing import Iterator
 
 import numpy as np
 
-# Dot products are capped at this length so that length * (p-1)^2 < 2**53
+# Dot products are capped at this length so that length * p^2 < 2**53
 # holds for all working primes; it is also the slice height of ModpEchelon.
 _CHUNK = 512
+# _gauss_jordan halves row blocks down to this height, then pivots row by row.
+_BASE = 64
+# Entries per pass of _mod: its temporary stays in cache.
+_SLAB = 1 << 15
 _PRIME_LO = 1_500_000
 _PRIME_HI = 2_100_000
 _F64_SAFE = 1 << 53
@@ -120,15 +134,56 @@ def _prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p for float64 integers 0 <= x < 2**53, as x - p floor(x (1/p)).
+
+    The rounded quotient is off by at most one: one too big only where the
+    remainder is p - 1, where p times it is x + 1 <= 2**53 and still exact,
+    and one too small only where the remainder is 0 or 1.  So the difference
+    lies in [-1, p + 1], and one correction each way makes it exact.  ``out``
+    may be ``x`` itself.  The work goes in slabs of about ``_SLAB`` entries
+    along the first axis, so the one temporary stays small.
+    """
+    if out is None:
+        out = np.empty(x.shape)
+    step = max(1, _SLAB * len(x) // max(x.size, 1))
+    for k in range(0, len(x), step):
+        xs, r = x[k : k + step], out[k : k + step]
+        q = np.multiply(xs, 1.0 / p)
+        np.floor(q, out=q)
+        q *= -p
+        np.add(xs, q, out=r)
+        if r.min(initial=0) < 0:
+            r[r < 0] += p
+        if r.max(initial=0) >= p:
+            r[r >= p] -= p
+    return out
+
+
 def _gauss_jordan(b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Reduced row-echelon form of ``b`` over GF(p), computed in place.
+    """Reduced row-echelon form of ``b`` over GF(p), using ``b`` as scratch.
 
     ``b`` holds residues in [0, p) as float64.  Returns the nonzero rows of
     the reduced form, their pivot columns, and for each pivot the index of
-    the row of ``b`` it was taken from.  A pivot in column c clears that
-    column only in the rows that have a nonzero entry there, and only from
-    column c on: the pivot row is zero before c.
+    the row of ``b`` it was taken from, in increasing row order.
+
+    A block of more than ``_BASE`` rows is halved: the top half is
+    eliminated, the bottom half is reduced against its pivot rows with one
+    matrix product, the bottom half is eliminated, and one more product
+    reduces the top pivot rows by the new ones.  A block of at most
+    ``_BASE`` rows is eliminated pivot by pivot: a pivot in column c clears
+    that column only in the rows that have a nonzero entry there, and only
+    from column c on, since the pivot row is zero before c.
     """
+    if len(b) > _BASE:
+        mid = len(b) // 2
+        top, cols, src = _gauss_jordan(b[:mid], p)
+        if cols:
+            _chunked_matmul_mod(p - b[mid:, cols], top, p, out=b[mid:])
+        low, low_cols, low_src = _gauss_jordan(b[mid:], p)
+        if cols and low_cols:
+            _chunked_matmul_mod(p - top[:, low_cols], low, p, out=top)
+        return np.vstack([top, low]), cols + low_cols, src + [mid + k for k in low_src]
     cols: list[int] = []
     src: list[int] = []
     for k in np.flatnonzero(b.any(axis=1)):
@@ -137,11 +192,11 @@ def _gauss_jordan(b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
         if nz.size == 0:
             continue
         c = int(nz[0])
-        row[c:] = np.fmod(row[c:] * pow(int(row[c]), p - 2, p), p)
+        _mod(row[c:] * pow(int(row[c]), p - 2, p), p, out=row[c:])
         hit = np.flatnonzero(b[:, c])
         hit = hit[hit != k]
         if hit.size:
-            b[hit, c:] = np.fmod(b[hit, c:] + np.outer(p - b[hit, c], row[c:]), p)
+            b[hit, c:] = _mod(b[hit, c:] + np.outer(p - b[hit, c], row[c:]), p)
         cols.append(c)
         src.append(int(k))
     return b[src], cols, src
@@ -157,7 +212,7 @@ class ModpEchelon:
     """
 
     def __init__(self, ncols: int, p: int):
-        if _CHUNK * (p - 1) ** 2 >= _F64_SAFE:
+        if _CHUNK * p * p >= _F64_SAFE:
             raise ValueError("prime too large for exact f64 carriers")
         self.p = p
         self.rows = np.zeros((0, ncols))
@@ -174,16 +229,14 @@ class ModpEchelon:
         p = self.p
         start = self.rank
         for k in range(0, len(batch), _CHUNK):
-            b = np.fmod(np.asarray(batch[k : k + _CHUNK], dtype=np.float64), p)
+            b = _mod(np.asarray(batch[k : k + _CHUNK], dtype=np.float64), p)
             if self.rank:
-                b -= _chunked_matmul_mod(b[:, self.pivot_cols], self.rows, p) - p
-                np.fmod(b, p, out=b)
+                _chunked_matmul_mod(p - b[:, self.pivot_cols], self.rows, p, out=b)
             new, cols, _ = _gauss_jordan(b, p)
             if not cols:
                 continue
             if self.rank:
-                self.rows -= _chunked_matmul_mod(self.rows[:, cols], new, p) - p
-                np.fmod(self.rows, p, out=self.rows)
+                _chunked_matmul_mod(p - self.rows[:, cols], new, p, out=self.rows)
             self.rows = np.vstack([self.rows, new])
             self.pivot_cols += cols
         return self.rows[start:]
@@ -342,15 +395,19 @@ def verify_product_identity(
     raise ArithmeticError("unreachable: prime supply is infinite")
 
 
-def _chunked_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p for residues in [0, p), with dot products split so that
-    partial sums stay below 2**53.  np.fmod equals % on nonnegative values
-    and is several times faster."""
-    r = a.shape[1]
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(0, r, _CHUNK):
+def _chunked_matmul_mod(
+    a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(out + a @ b) mod p, updating ``out`` in place (zero if not given),
+    for ``out`` and ``b`` residues in [0, p) and ``a`` in [0, p].  The dot
+    products are split into ``_CHUNK`` terms, so every partial sum stays
+    below p + _CHUNK p (p-1) <= _CHUNK p**2; ``a`` = p - residues negates a
+    product."""
+    if out is None:
+        out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(0, a.shape[1], _CHUNK):
         out += a[:, k : k + _CHUNK] @ b[k : k + _CHUNK]
-        np.fmod(out, p, out=out)
+        _mod(out, p, out=out)
     return out
 
 

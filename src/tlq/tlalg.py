@@ -327,7 +327,7 @@ def _ideal_span_rank_modp(
         targets, loops = basis.product_columns([basis.index[d.pairing] for d in x.terms])
         coeffs = np.array([image(c) for c in x.terms.values()], dtype=np.float64)
         for r in range(0, size, chunk):
-            terms = np.fmod(coeffs * weight[loops[r : r + chunk]], p)
+            terms = _intlinalg._mod(coeffs * weight[loops[r : r + chunk]], p)
             ech.add_rows(_row_sums(targets[r : r + chunk], terms, size))
     if done < ech.rank < target:
         # One map per generator, (target, weight) per source as (moves, 1, size).

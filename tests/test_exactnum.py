@@ -417,7 +417,7 @@ def test_exactness_guards_raise_without_assert():
     # the int64 bounds and the edge paths of the product-sum step, the
     # table-based kill check of radical_split, its retry paths, the sum
     # bounds of its ideal step and the guards of the cell-form, product and
-    # phi walks must all still raise.
+    # phi walks must all still raise, and the reduction mod p stays exact.
     root = Path(__file__).resolve().parents[1]
     path = filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -430,6 +430,7 @@ def test_exactness_guards_raise_without_assert():
         )),
         (root / "tests" / "test_basis.py", "cell_walk_raises or product_walk_raises or phi_walk_raises"),
         (root / "tests" / "test_diagram.py", "hook_poly_raises"),
+        (root / "tests" / "test_intlinalg.py", "mod_is_exact"),
     ):
         result = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
