@@ -10,16 +10,17 @@ line, and the flat (0, t+n)-form of a diagram *is* its pairing tuple.
 
 All functions here are pure and all values immutable.  ``diagram_basis``
 is the one indexed basis of monic (t, n)-diagrams per (t, n), and the level
-independent tables (generator moves, cell form, trace, and the TL_n
-product table for n <= ``PRODUCTS_MAX_N``) hang off it.  The tables are
-built without composing pairs of diagrams: each generator f_k moves a
-diagram by a cup-cap rule on its pairing, all k in one stacked array, and
-the cell form <x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one
-composed row of it and a walk of the moves by rounds give the rest.  On
-TL_n the moves of the bottom points are the right multiplications
-D -> D f_i, the product columns at the generators, and those of the top
-points fill the rest of any column at any n, one gather per round, since
-(f_k D) D' = f_k (D D').  The trace table is the meander read at star.
+independent tables (generator moves, cell form, and the TL_n product table
+for n <= ``PRODUCTS_MAX_N``) hang off it.  The tables are built without
+composing pairs of diagrams: each generator f_k moves a diagram by a
+cup-cap rule on its pairing, all k in one stacked array, and the cell form
+<x, y> = x* y is invariant, <f_k x, y> = <x, f_k y>, so one composed row
+of it and a walk of the moves by rounds give the rest.  On TL_n the moves
+of the bottom points are the right multiplications D -> D f_i, the product
+columns at the generators, and those of the top points fill the rest of
+any column at any n, one gather per round, since (f_k D) D' = f_k (D D').
+The cell form table of TL_n is the meander matrix, and its trace table is
+the meander with the rows relabelled by star.
 
 ``hook_poly`` gives the hook quotient of an arc-nesting forest, the
 coefficient of the Jones-Wenzl idempotent, as a power of q times an integer
@@ -298,26 +299,19 @@ class DiagramBasis:
     """The monic (t, n)-diagrams in lexicographic order, a pairing -> position
     index, and the level-independent tables on them, built on first use.  The
     basis (0, 2n) is that of TL_n, its flat pairings read as (n, n)-diagrams;
-    only it has the star permutation, the trace table, the product columns
-    and, for n <= PRODUCTS_MAX_N, the product table.  The generator moves
-    ``actions`` are one stacked pair read off the pairings, and the right
-    moves of TL_n (``generator_columns``) are views of it.  The cell form
-    table follows from one composed row by <f_k x, y> = <x, f_k y>, and the
-    product columns from the identity's row by the left moves, a round at a
-    time.
+    its cell form table is the meander matrix, which the trace reads, and
+    only it has the product columns and, for n <= PRODUCTS_MAX_N, the
+    product table.  The generator moves ``actions`` are one stacked pair
+    read off the pairings, and the right moves of TL_n
+    (``generator_columns``) are views of it.  The cell form table follows
+    from one composed row by <f_k x, y> = <x, f_k y>, and the product
+    columns from the identity's row by the left moves, a round at a time.
     """
 
     def __init__(self, t: int, n: int):
         self.t, self.n = t, n
         self.pairings = monic_pairings(t, n)
         self.index = {pairing: i for i, pairing in enumerate(self.pairings)}
-
-    @cached_property
-    def star(self) -> np.ndarray:
-        """Position of the star (mirror image) of each diagram; an involution."""
-        out = np.array([self.index[star_pairing(self.n, p)] for p in self.pairings], dtype=np.intp)
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def actions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +376,10 @@ class DiagramBasis:
     def cell_exponents(self) -> np.ndarray:
         """exponents[i, j] = k when the cell form pairs D_i and D_j to
         delta^k, or -1 when the pairing vanishes; symmetric.  At t = 0 it is
-        the meander matrix.
+        the meander matrix M, and tr(D_i D_j) = delta^(M[star i, j] - n/2) on
+        TL_(n/2): the trace table is M with its rows relabelled by star, whose
+        fixed point is the identity, so M's identity column is the closure
+        loop count of each diagram.
 
         Only row 0 is composed.  Every f_k is self-adjoint for the form,
         <f_k D_i, D_j> = <D_i, f_k D_j>, so when f_k D_i = D_i' (no loop) row
@@ -405,13 +402,6 @@ class DiagramBasis:
                     out[k] = np.where((tgt >= 0) & (moved >= 0), moved + loops[move], -1)
         out.setflags(write=False)
         return out
-
-    def trace_columns(self, cols) -> np.ndarray:
-        """Columns ``cols`` (an index, ``slice(None)`` for all) of the trace
-        table of TL_n, a fresh array: tr(D_i D_cols[c]) = delta^(out[i, c] - n).
-        The table is the meander matrix read at the star of each column, and
-        symmetric, so column D is also row D."""
-        return self.cell_exponents[:, self.star[cols]]
 
     @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:

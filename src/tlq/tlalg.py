@@ -16,10 +16,12 @@ pair to :func:`tlq.exactnum.pair_sums`: up to n = ``PRODUCTS_MAX_N`` read
 in one gather from the product table of ``diagram_basis(0, 2n)``, past it
 composed, the composites numbered as met.  The trace is one
 :func:`tlq.exactnum.table_sums` call on a one-row table of closure loops:
-the identity's column of the trace table (``DiagramBasis.trace_columns``),
-and past the cutoff each closure walked, so neither the product nor the
-trace enumerates the basis there and both work at any n.  The kill check is
-one ``table_sums`` call on the trace table's columns at the diagrams of E.
+the identity's column of the meander matrix M (``cell_exponents``), and
+past the cutoff each closure walked, so neither the product nor the trace
+enumerates the basis there and both work at any n.  The trace table is M
+with its rows relabelled by star, tr(D_y D_e) = delta^(M[star y, e] - n),
+so the kill check is one ``table_sums`` call on M's columns at the
+diagrams of E, and the trace rank is the rank of M.
 
 The rank of the trace-form Gram matrix and the dimension of the ideal
 generated by the Jones-Wenzl idempotent are certified exactly by a mod-p
@@ -188,10 +190,11 @@ def jones_trace(x: TLElement) -> CycNum:
     if not x.terms:
         return field.zero
     if n <= PRODUCTS_MAX_N:
-        # tr(D) = tr(D 1): c is the identity's column of the trace table.
+        # c(D) is the identity's column of the meander matrix: D closed by the
+        # identity's nested arcs is the Markov closure of D.
         basis = diagram_basis(0, 2 * n)
         pos = [basis.index[d.pairing] for d in x.terms]
-        closure = basis.trace_columns([basis.index[identity_pairing(n)]])[pos, 0]
+        closure = basis.cell_exponents[pos, basis.index[identity_pairing(n)]]
     else:
         closure = np.array([closure_loops(n, d.pairing) for d in x.terms], dtype=np.intp)
     # One row: the sum of c_D delta^c(D), each loop count c <= n.
@@ -261,17 +264,21 @@ def jones_wenzl_by_recursion(level: int) -> TLElement:
 
 def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     """Gram matrix G[D, D'] = tr(D D') of the Jones trace over the diagram
-    basis of TL_n, read off its trace table.  Exact; for moderate n."""
+    basis of TL_n: the loops of each product D D' from the product columns
+    plus the closure loops of D D'.  Exact; for moderate n."""
     field = cyclotomic_field(level)
     # A closed picture on 2n points has at most n loops.
     dinv_n = _delta_inverse_power(field, n)
     scaled = [p * dinv_n for p in powers(field.delta, n)]
-    expo = diagram_basis(0, 2 * n).trace_columns(slice(None))
+    basis = diagram_basis(0, 2 * n)
+    targets, loops = basis.product_columns(range(len(basis.pairings)))
+    expo = loops + basis.cell_exponents[targets, basis.index[identity_pairing(n)]]
     return ExactMatrix(field, [[scaled[c] for c in row] for row in expo.tolist()])
 
 
 def _gram_rank_modp(level: int, n: int, p: int, dmod: int) -> int:
-    # The meander matrix has the rank of the trace table and eliminates faster.
+    # The trace table is the meander matrix with its rows relabelled, so both
+    # have one rank.
     expo = diagram_basis(0, 2 * n).cell_exponents
     table = np.array([pow(dmod, c, p) for c in range(int(expo.max()) + 1)], dtype=np.float64)
     ech = _intlinalg.ModpEchelon(expo.shape[1], p)
@@ -285,9 +292,9 @@ def _assert_trace_kills_ideal(level: int, n: int):
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
     ej = embedded_jones_wenzl(level, n)
     field, basis = ej.field, diagram_basis(0, 2 * n)
-    cols = basis.trace_columns([basis.index[d.pairing] for d in ej.terms])
-    # tr(E y) = delta^(-n) sum_e c_e delta^T[y, e] for the symmetric trace
-    # table T, whose entries are at most n.
+    cols = basis.cell_exponents[:, [basis.index[d.pairing] for d in ej.terms]]
+    # tr(E D_star(y)) = delta^(-n) sum_e c_e delta^M[y, e] for the meander
+    # matrix M, whose entries are at most n; y runs over every diagram.
     if table_sums(field, cols, ej.terms.values(), powers(field.delta, n)):
         raise ArithmeticError(f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated")
 
@@ -398,9 +405,10 @@ def trace_gram_rank(level: int, n: int) -> int:
     From n = level - 1 on it is the mod-p sandwich rank of
     :func:`radical_split`.  Below that there is no idempotent to pin
     against, and the rank is found by exact elimination over Z[delta] of
-    delta^n times the Gram matrix (delta^c per entry, the same rank).
+    the meander matrix (delta^c per entry), which is delta^n times the Gram
+    matrix with its rows relabelled by star, so of the same rank.
     """
     if n < level - 1:
         ring = delta_ring(level)
-        return plane_rank(ring, ring.power_table(n)[diagram_basis(0, 2 * n).trace_columns(slice(None))])
+        return plane_rank(ring, ring.power_table(n)[diagram_basis(0, 2 * n).cell_exponents])
     return radical_split(level, n).gram_rank

@@ -1,5 +1,6 @@
-"""The indexed diagram basis: its index, star permutation and tables against
-the per-pair loops that each consumer ran before it."""
+"""The indexed diagram basis: its index and tables against the per-pair
+loops that each consumer ran before it, and the meander identities the
+trace readers rest on."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import pytest
 import oracles
 from tlq import cellrep, clifford, diagram, tlalg
 from tlq.cellrep import CellVector, admissible_t, cell_pairing
-from tlq.diagram import diagram_basis, star_pairing, tl_pairings
+from tlq.diagram import closure_loops, diagram_basis, identity_pairing, star_pairing, tl_pairings
+from tlq.exactnum import cyclotomic_field
 
 CELLS = [(t, n) for n in range(11) for t in admissible_t(n)]
 TL_N = range(1, 8)
@@ -41,12 +43,23 @@ def test_actions_match_the_composed_generators(t, n):
 def test_tl_tables_match_the_per_pair_loops(n):
     basis = diagram_basis(0, 2 * n)
     assert basis.pairings == tl_pairings(n)
-    star = basis.star
-    assert all(basis.pairings[s] == star_pairing(2 * n, p) for p, s in zip(basis.pairings, star))
-    assert (star[star] == np.arange(len(star))).all()
-    np.testing.assert_array_equal(basis.cell_exponents, oracles.cell_gram_exponents(0, 2 * n))
-    size = len(basis.pairings)
-    np.testing.assert_array_equal(basis.trace_columns(range(size)), oracles.trace_exponents(n))
+    meander = basis.cell_exponents
+    np.testing.assert_array_equal(meander, oracles.cell_gram_exponents(0, 2 * n))
+    assert (meander == meander.T).all()
+    # The trace table is the meander read at the star of each column (and so,
+    # both being symmetric, at the star of each row); its identity column is
+    # the closure loops.
+    star = [basis.index[star_pairing(2 * n, p)] for p in basis.pairings]
+    trace = oracles.trace_exponents(n)
+    np.testing.assert_array_equal(meander[:, star], trace)
+    closure = [closure_loops(n, p) for p in basis.pairings]
+    np.testing.assert_array_equal(meander[:, basis.index[identity_pairing(n)]], closure)
+    # trace_gram_matrix reads loops from the product columns instead.  At
+    # level 5 |delta| > 1, so its entries delta^(c - n) pin the exponents c.
+    field = cyclotomic_field(5)
+    scaled = [field.delta ** (c - n) for c in range(n + 1)]
+    gram = tlalg.trace_gram_matrix(5, n).rows
+    assert gram == [[scaled[c] for c in row] for row in trace.tolist()]
     # f_i D is row n-1+i of the actions on the flat points, D f_i row n-1-i,
     # which is column f_i of the products.  The reference interleaves them:
     # f_1 left, f_1 right, ...
@@ -64,7 +77,7 @@ def test_tl_tables_match_the_per_pair_loops(n):
 def test_tables_are_read_only():
     basis = diagram_basis(0, 8)
     targets, loops = basis.actions
-    tables = [basis.star, basis.cell_exponents, *basis.products, *basis.generator_columns]
+    tables = [basis.cell_exponents, *basis.products, *basis.generator_columns]
     tables += [targets, loops, *targets, *loops]  # the stacked pair and each of its rows
     assert not any(a.flags.writeable for a in tables)
 
@@ -265,7 +278,7 @@ def test_kill_check_and_phi_walk_read_tables_without_composing(monkeypatch):
     n = 5
     basis = diagram_basis(0, 2 * n)
     # The tables are built (by composing) before the patch; reading them is not.
-    basis.trace_columns(range(len(basis.pairings))), basis.actions
+    basis.cell_exponents, basis.actions
     cell = diagram_basis(2, 6)
     v, w = (CellVector.from_diagram(diagram.Diagram(2, 6, cell.pairings[i]), 4) for i in (0, -1))
     pairing = cell_pairing(v, w + v)

@@ -455,8 +455,10 @@ def test_trace_gram_rank_pattern():
 
 
 def test_trace_gram_rank_below_the_idempotent_matches_the_cycnum_matrix():
-    # Below n = level - 1 the rank runs on Z[delta] planes of delta^n times
-    # the Gram matrix; the CycNum matrix is ranked over Q(zeta_2l).
+    # Below n = level - 1 the rank runs on Z[delta] planes of the meander
+    # matrix, delta^n times the Gram matrix with its rows relabelled by star;
+    # the CycNum matrix, read from the product columns, is ranked over
+    # Q(zeta_2l).
     for level in (4, 5, 6, 7, 8):
         for n in range(1, min(level - 1, 7)):
             assert trace_gram_rank(level, n) == trace_gram_matrix(level, n).rank(), (level, n)
@@ -543,12 +545,39 @@ def test_trace_of_a_broken_idempotent_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("level", (3, 4, 5, 6))
 def test_trace_gram_matrix_entries_are_traces_of_products(level):
-    # The entries come from the W_0(2n) cell form table with its columns
-    # permuted by star; each must be the per-term trace of the per-term
-    # product D_i D_j.
+    # The entries come from the product columns and the closure loops of
+    # each product; each must be the per-term trace of the per-term product
+    # D_i D_j.
     for n in range(1, 6):
         basis = [TLElement.from_diagram(d, level) for d in tl_basis(n)]
         gram = trace_gram_matrix(level, n)
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 assert gram.rows[i][j] == markov_trace(tl_product(x, y)), (n, i, j)
+
+
+def test_tl_trace_reads_no_star_permutation(monkeypatch):
+    # The trace table is the meander matrix with its rows relabelled by star,
+    # so every trace reader reads the meander as it is: once the meanders of
+    # fresh bases are built, no diagram is starred.
+    ranks = [(6, 3), (8, 5), (4, 5)]  # both sides of n = level - 1
+    expected = [trace_gram_rank(level, n) for level, n in ranks], _fresh_split(4, 6)
+    elements = [random_element(n, 5, random.Random(n)) for n in range(1, 9)]
+    traces = [markov_trace(x) for x in elements]
+    diagram.diagram_basis.cache_clear()
+    for n in range(1, 9):
+        diagram.diagram_basis(0, 2 * n).cell_exponents  # its row 0 pairs with a starred diagram
+
+    def refuse(*args):
+        raise AssertionError("a diagram was starred")
+
+    monkeypatch.setattr(diagram, "star_pairing", refuse)
+    assert [jones_trace(x) for x in elements] == traces
+    for level, n in ((3, 4), (4, 5), (5, 6)):
+        tlalg._assert_trace_kills_ideal(level, n)
+    radical_split.cache_clear()
+    try:
+        assert [trace_gram_rank(level, n) for level, n in ranks] == expected[0]
+        assert radical_split(4, 6) == expected[1]
+    finally:
+        radical_split.cache_clear()
