@@ -17,7 +17,8 @@ eliminates by recursive halving, in the delayed-reduction, Schur-complement
 scheme of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
 top half, one product to reduce the bottom half, bottom half, one product
 to reduce the top half, and pivot by pivot only on blocks of at most
-``_BASE`` rows.  Every product mod p goes through ``_chunked_matmul_mod``,
+``_BASE`` rows.  The step after the top half, ``_extend``, is also how
+``ModpEchelon`` takes a batch of rows.  Every product mod p goes through ``_chunked_matmul_mod``,
 whose sums of at most ``_CHUNK`` terms stay below _CHUNK p**2 < 2**53.
 
 The second half, a certified integer rank (``dixon_solve``,
@@ -168,9 +169,7 @@ def _gauss_jordan(b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     the row of ``b`` it was taken from, in increasing row order.
 
     A block of more than ``_BASE`` rows is halved: the top half is
-    eliminated, the bottom half is reduced against its pivot rows with one
-    matrix product, the bottom half is eliminated, and one more product
-    reduces the top pivot rows by the new ones.  A block of at most
+    eliminated and :func:`_extend` adds the bottom half.  A block of at most
     ``_BASE`` rows is eliminated pivot by pivot: a pivot in column c clears
     that column only in the rows that have a nonzero entry there, and only
     from column c on, since the pivot row is zero before c.
@@ -178,12 +177,8 @@ def _gauss_jordan(b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     if len(b) > _BASE:
         mid = len(b) // 2
         top, cols, src = _gauss_jordan(b[:mid], p)
-        if cols:
-            _chunked_matmul_mod(p - b[mid:, cols], top, p, out=b[mid:])
-        low, low_cols, low_src = _gauss_jordan(b[mid:], p)
-        if cols and low_cols:
-            _chunked_matmul_mod(p - top[:, low_cols], low, p, out=top)
-        return np.vstack([top, low]), cols + low_cols, src + [mid + k for k in low_src]
+        rows, cols, low_src = _extend(top, cols, b[mid:], p)
+        return rows, cols, src + [mid + k for k in low_src]
     cols: list[int] = []
     src: list[int] = []
     for k in np.flatnonzero(b.any(axis=1)):
@@ -200,6 +195,22 @@ def _gauss_jordan(b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
         cols.append(c)
         src.append(int(k))
     return b[src], cols, src
+
+
+def _extend(rows: np.ndarray, cols: list[int], b: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Adds the rows of ``b`` (scratch) to the reduced rows ``rows`` (pivot
+    columns ``cols``, reduced in place): one product reduces ``b`` by them,
+    ``b`` is eliminated, one more product reduces them by the new pivot rows,
+    and the new rows are stacked below.  Returns the rows, their pivot
+    columns and the rows of ``b`` the new pivots came from."""
+    if cols:
+        _chunked_matmul_mod(p - b[:, cols], rows, p, out=b)
+    new, new_cols, src = _gauss_jordan(b, p)
+    if not new_cols:
+        return rows, cols, src
+    if cols:
+        _chunked_matmul_mod(p - rows[:, new_cols], new, p, out=rows)
+    return np.vstack([rows, new]), cols + new_cols, src
 
 
 class ModpEchelon:
@@ -230,15 +241,7 @@ class ModpEchelon:
         start = self.rank
         for k in range(0, len(batch), _CHUNK):
             b = _mod(np.asarray(batch[k : k + _CHUNK], dtype=np.float64), p)
-            if self.rank:
-                _chunked_matmul_mod(p - b[:, self.pivot_cols], self.rows, p, out=b)
-            new, cols, _ = _gauss_jordan(b, p)
-            if not cols:
-                continue
-            if self.rank:
-                _chunked_matmul_mod(p - self.rows[:, cols], new, p, out=self.rows)
-            self.rows = np.vstack([self.rows, new])
-            self.pivot_cols += cols
+            self.rows, self.pivot_cols, _ = _extend(self.rows, self.pivot_cols, b, p)
         return self.rows[start:]
 
 

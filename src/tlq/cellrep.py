@@ -1,10 +1,11 @@
 """Cell modules W_t(n), the bilinear cell form, simple dimensions by Gram
 rank and by the alternating sum over the reflection orbit, and the
 classification checks for the semisimple quotient.  ``CellVector`` is a
-:class:`tlq.exactnum.LinComb`.  The cell action (composed) and the form
-(read from the cell form table) are one :func:`tlq.exactnum.pair_sums` call
-each, the annihilation check one :func:`tlq.exactnum.table_sums` call per
-image on that table; each returns the nonzero sums as CycNums.
+:class:`tlq.exactnum.LinComb` labelled by pairings.  The cell action and
+the form, each pair of diagrams composed, are one
+:func:`tlq.exactnum.pair_sums` call each, the annihilation check one
+:func:`tlq.exactnum.table_sums` call per image on the cell form table; each
+returns the nonzero sums in the stored form of a combination.
 
 The dimension of the simple head L_t is *defined* computationally as the
 rank of the cell Gram matrix, found by exact elimination over Z[delta]
@@ -18,9 +19,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-
-from .diagram import Diagram, compose_pairings, diagram_basis, enumerate_monic
+from .diagram import (
+    Diagram,
+    compose_pairings,
+    diagram_basis,
+    enumerate_monic,
+    identity_pairing,
+    star_pairing,
+)
 from .exactnum import (
     CycNum,
     CyclotomicField,
@@ -31,6 +37,7 @@ from .exactnum import (
     pair_sums,
     plane_rank,
     powers,
+    sum_value,
     table_sums,
 )
 from .tlalg import TLElement, embedded_jones_wenzl
@@ -58,9 +65,13 @@ class CellVector(LinComb):
     t = property(lambda self: self.space[0])
     n = property(lambda self: self.space[1])
 
-    def _check_key(self, d: Diagram) -> None:
+    def _label(self, d: Diagram) -> tuple[int, ...]:
         if (d.src, d.dst) != self.space:
             raise ValueError("diagram is not a (t, n)-diagram")
+        return d.pairing
+
+    def _key(self, pairing: tuple[int, ...]) -> Diagram:
+        return Diagram._trusted(self.t, self.n, pairing)
 
     @classmethod
     def from_diagram(cls, d: Diagram, level: int) -> CellVector:
@@ -68,7 +79,7 @@ class CellVector(LinComb):
         return cls(d.src, d.dst, field, {d: field.one})
 
     def __repr__(self) -> str:
-        return f"CellVector(t={self.t}, n={self.n}, {len(self.terms)} terms)"
+        return f"CellVector(t={self.t}, n={self.n}, {len(self.labels)} terms)"
 
 
 def cell_action(x: TLElement, v: CellVector) -> CellVector:
@@ -78,14 +89,14 @@ def cell_action(x: TLElement, v: CellVector) -> CellVector:
         raise ValueError("strand count or level mismatch")
     t, n = v.t, v.n
     basis = diagram_basis(t, n)
-    composed = [compose_pairings(t, n, n, a.pairing, b.pairing) for a in v.terms for b in x.terms]
+    composed = [compose_pairings(t, n, n, a, b) for a in v.labels for b in x.labels]
     # A loop closed in the glued row uses one of the (n - t) / 2 top arcs of v.
-    sums = pair_sums(
-        v.field, v.terms.values(), x.terms.values(),
+    results, den, plane = pair_sums(
+        v.field, (v.den, v.plane), (x.den, x.plane),
         [basis.index.get(pairing, -1) for pairing, _ in composed], [l for _, l in composed],
         powers(v.field.delta, (n - t) // 2),
     )
-    return v._like((Diagram._trusted(t, n, basis.pairings[k]), c) for k, c in sums)
+    return v._like([basis.pairings[k] for k in results], den, plane)
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +116,20 @@ def gram_matrix(t: int, n: int, level: int) -> ExactMatrix:
 
 
 def cell_pairing(v: CellVector, w: CellVector) -> CycNum:
-    """The bilinear cell form phi_t(v, w), read from the cell form table."""
+    """The bilinear cell form phi_t(v, w): each pair of diagrams composed as
+    row 0 of the cell form table is, w's below v's reflection, so no table is
+    built."""
     v._check_compatible(w)
-    basis = diagram_basis(v.t, v.n)
-    pv, pw = ([basis.index[d.pairing] for d in x.terms] for x in (v, w))
-    expo = basis.cell_exponents[np.ix_(pv, pw)]
-    # A vanishing pairing drops by its target; its weight index stays valid.
-    sums = pair_sums(
-        v.field, v.terms.values(), w.terms.values(), np.where(expo >= 0, 0, -1),
-        expo.clip(0), powers(v.field.delta, (v.n - v.t) // 2),
-    )
-    return dict(sums).get(0, v.field.zero)
+    t, n = v.space
+    ident, stars = identity_pairing(t), [star_pairing(t + n, a) for a in v.labels]
+    composed = [compose_pairings(t, n, t, b, a) for a in stars for b in w.labels]
+    # A pair that does not close to the identity drops by its target; every
+    # loop uses one of the (n - t) / 2 top arcs of w.
+    return sum_value(v.field, pair_sums(
+        v.field, (v.den, v.plane), (w.den, w.plane),
+        [0 if pairing == ident else -1 for pairing, _ in composed], [l for _, l in composed],
+        powers(v.field.delta, (n - t) // 2),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +216,7 @@ def annihilation_check(t: int, n: int, level: int) -> bool:
     weights = powers(field.delta, (n - t) // 2)
     for d in enumerate_monic(t, n):
         image = cell_action(ej, CellVector.from_diagram(d, level))
-        support = [basis.index[b.pairing] for b in image.terms]
-        if table_sums(field, basis.cell_exponents[:, support], image.terms.values(), weights):
+        support = [basis.index[p] for p in image.labels]
+        if table_sums(field, basis.cell_exponents[:, support], (image.den, image.plane), weights)[0]:
             return False
     return True

@@ -5,13 +5,14 @@ sqrt(2) = delta), and the homomorphism from TL_n(q) at level 4.
 Blades are subsets of {1..n} encoded as bitmasks; the reordering sign is the
 parity of the transpositions needed to sort a concatenation, and each
 repeated generator contracts to a factor 1/2.  ``BladeElement`` is a
-:class:`tlq.exactnum.LinComb` whose product is one
+:class:`tlq.exactnum.LinComb` labelled by blade masks whose product is one
 :func:`tlq.exactnum.pair_sums` call over (1/2)^c and its negations, and
 ``phi`` is one :func:`tlq.exactnum.term_sums` call over the table images of
-its diagrams, keyed by blade mask; both return the nonzero sums as CycNums.
-The table of images follows :meth:`tlq.diagram.DiagramBasis.walk` of the
-right multiplications by the generators, and the dimension of its span is a
-rank on :class:`tlq._intlinalg.ModpEchelon`.
+its diagrams; both return the nonzero sums in the stored form of a
+combination.  The table of images follows
+:meth:`tlq.diagram.DiagramBasis.walk` of the right multiplications by the
+generators, and the dimension of its span is a rank on
+:class:`tlq._intlinalg.ModpEchelon`, each image reduced mod p in one step.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .exactnum import (
     ExactMatrix,
     LinComb,
     cyclotomic_field,
+    label_slots,
     mod_p_image,
     pair_sums,
     powers,
@@ -75,9 +77,10 @@ class BladeElement(LinComb):
 
     n = property(lambda self: self.space)
 
-    def _check_key(self, mask: int) -> None:
+    def _label(self, mask: int) -> int:
         if mask >> self.n:
             raise ValueError("blade uses a generator beyond n")
+        return mask
 
     @classmethod
     def zero(cls, n: int) -> BladeElement:
@@ -94,33 +97,28 @@ class BladeElement(LinComb):
             return NotImplemented
         self._check_compatible(other)
         # gamma_J gamma_K contracts |J & K| generators, each to a factor 1/2.
-        top = min(max(map(int.bit_count, e.terms), default=0) for e in (self, other))
-        pairs = [_mul_basis(j, k) for j in self.terms for k in other.terms]
-        met: dict[int, int] = {}
-        sums = pair_sums(
-            self.field, self.terms.values(), other.terms.values(),
-            [met.setdefault(mask, len(met)) for mask, _ in pairs],
-            [c if c >= 0 else top - c for _, c in pairs],
-            _signed_halves(top),
+        top = min(max(map(int.bit_count, e.labels), default=0) for e in (self, other))
+        pairs = [_mul_basis(j, k) for j in self.labels for k in other.labels]
+        # Masks are numbered in order: at large n they are too sparse to index.
+        masks, target = label_slots([mask for mask, _ in pairs])
+        results, den, plane = pair_sums(
+            self.field, (self.den, self.plane), (other.den, other.plane), target,
+            [c if c >= 0 else top - c for _, c in pairs], _signed_halves(top),
         )
-        # Masks are numbered as met: at large n they are too sparse to index.
-        masks = list(met)
-        return self._like((masks[k], c) for k, c in sums)
+        return self._like([masks[k] for k in results], den, plane)
 
     def constant_term(self) -> CycNum:
         return self.coefficient(0)
 
     def is_even(self) -> bool:
-        return all(m.bit_count() % 2 == 0 for m in self.terms)
+        return all(m.bit_count() % 2 == 0 for m in self.labels)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         names = []
-        for m in sorted(self.terms):
+        for m, c in self.terms.items():
             gens = "".join(f"g{i+1}" for i in range(self.n) if m >> i & 1) or "1"
-            names.append(f"({self.terms[m]!r})*{gens}")
-        return " + ".join(names)
+            names.append(f"({c!r})*{gens}")
+        return " + ".join(names) or "0"
 
 
 def gamma(n: int, i: int) -> BladeElement:
@@ -171,14 +169,16 @@ def phi(x: TLElement) -> BladeElement:
     algebra, determined by the generator images."""
     if x.field.level != _LEVEL:
         raise ValueError("phi is defined at level 4")
-    if not x.terms:
+    if not x:
         return BladeElement.zero(x.n)
     table, index = _phi_table(x.n), diagram_basis(0, 2 * x.n).index
+    images = [table[index[p]] for p in x.labels]
     # Each coefficient of an image times its diagram's, summed per blade mask.
-    row, masks, ys = zip(*(
-        (i, m, c) for i, d in enumerate(x.terms) for m, c in table[index[d.pairing]].terms.items()
-    ))
-    return BladeElement(x.n)._like(term_sums(x.field, x.terms.values(), ys, row, masks))
+    masks, target = label_slots([m for image in images for m in image.labels])
+    results, den, plane = term_sums(
+        x.field, (x.den, x.plane), [(image.den, image.plane) for image in images], target
+    )
+    return BladeElement(x.n)._like([masks[k] for k in results], den, plane)
 
 
 def even_masks(n: int) -> tuple[int, ...]:
@@ -197,8 +197,7 @@ def image_dimension(n: int) -> int:
     image = mod_p_image(_LEVEL, p)
     rows = np.zeros((len(table), len(col)))
     for r, blade in enumerate(table):
-        for m, c in blade.terms.items():
-            rows[r, col[m]] = image(c)
+        rows[r, [col[m] for m in blade.labels]] = image(blade)
     if len(_intlinalg.ModpEchelon(len(col), p).add_rows(rows)) == len(col):
         return len(col)
     return _image_dimension_exact(n)

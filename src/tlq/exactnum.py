@@ -16,15 +16,20 @@ Many numbers at once are integer coefficient planes over a common
 denominator (``coefficient_plane``), int64 while a bound checked before the
 work stays below 2^62 (``int_dtype``).  ``plane_rank`` is exact rank on
 them, over Q(zeta_{2l}) or over Z[delta] (half the degree; a pivot is
-inverted by its adjugate row), and ``weighted_sums`` the one step for every
-sum of products (the ``TL_n`` product, trace and kill check, the cell action
-and form, the blade product, phi): rows scatter-added per (slot, weight),
-contracted once with the weight planes, and returned as CycNums.  Its three
-callers take CycNums and index arrays: ``pair_sums`` (every product of two
+inverted by its adjugate row).  ``LinComb``, the one linear-combination
+type, stores its terms as one such plane: sorted basis labels, a positive
+denominator and one row per label, in the canonical form of
+``_canonical``, so +, -, ``scale``, == and hash are array merges here.
+``weighted_sums`` is the one step for every sum of products (the ``TL_n``
+product, trace and kill check, the cell action and form, the blade
+product, phi): rows scatter-added per (slot, weight) and contracted once
+with the weight planes.  Its three callers take stored (den, plane)
+operands and index arrays: ``pair_sums`` (every product of two
 combinations), ``term_sums`` (one product per term) and ``table_sums`` (the
 rows of an exponent table).  Each returns only the nonzero sums, as
-(result, CycNum) pairs in increasing result order, so no other module
-handles a plane for a sum.  ``LinComb`` is the one linear-combination type.
+(results, den, plane) in increasing result order and in the stored form,
+with no CycNum per result, so other modules pass planes on and never
+compute with them.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -34,9 +39,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from itertools import chain
+from types import MappingProxyType
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -453,22 +461,27 @@ def quantum_int(m: int, x: CycNum) -> CycNum:
 # ---------------------------------------------------------------------------
 
 
-def mod_p_image(level: int, p: int) -> Callable[[CycNum], int]:
+def mod_p_image(level: int, p: int) -> Callable:
     """The reduction of Q(zeta_{2l}) into GF(p) for a prime p = 1 mod 2l.
 
     It sends zeta to a fixed primitive 2l-th root of unity mod p, so it is a
     ring homomorphism on the numbers whose denominator is prime to p; the
-    returned map raises ``ArithmeticError`` when a denominator vanishes.
+    returned map raises ``ArithmeticError`` when a denominator vanishes.  It
+    takes a CycNum to its residue, and a ``LinComb`` to the int64 residues
+    of its coefficients in label order, its plane reduced in one step.
     """
     degree = cyclotomic_field(level).degree
     z = root_of_unity(p, 2 * level)
     zpows = [pow(z, k, p) for k in range(degree)]
 
-    def image(c: CycNum) -> int:
+    def image(c: CycNum | LinComb):
         if c.field.level != level:
             raise ValueError("mixed cyclotomic levels")
         if c.den % p == 0:
             raise ArithmeticError("denominator vanishes mod p")
+        if isinstance(c, LinComb):
+            # Residues and powers below 2^21, so every dot product fits int64.
+            return (c.plane % p).astype(np.int64) @ zpows % p * pow(c.den, -1, p) % p
         total = sum(v * zk for v, zk in zip(c.num, zpows) if v)
         return total * pow(c.den, -1, p) % p
 
@@ -497,12 +510,12 @@ def sums_dtype(weights: tuple[int, np.ndarray, int], bound: int):
     return int_dtype(bound * top * (len(planes) - 1) * planes.shape[-1])
 
 
-def weighted_sums(field: CyclotomicField, results, den: int, weights, dtype, blocks) -> list:
+def weighted_sums(field: CyclotomicField, results, den: int, weights, dtype, blocks) -> tuple:
     """The one exact product-sum step: for the entries (s, l, v) of
     ``blocks``, integer coefficient rows v over ``den``, the sum over s of
     v * w_l for each result of ``results`` (slot s is its position), with
-    the ``weights`` of :func:`weight_planes`, as (result, CycNum) pairs for
-    the nonzero sums only.
+    the ``weights`` of :func:`weight_planes`, as (results, den, plane) for
+    the nonzero sums only, in the stored form of :func:`_canonical`.
 
     A block is arrays (slot, l, values), values of the shape of slot and l
     broadcast together, plus (degree,).  Each v is scatter-added to the
@@ -518,8 +531,7 @@ def weighted_sums(field: CyclotomicField, results, den: int, weights, dtype, blo
         flat = (slot * width + loops).reshape(-1, 1) * d + np.arange(d)
         np.add.at(acc, flat.ravel(), values.ravel())
     sums = (acc.reshape(nslots + 1, width * d) @ planes.reshape(width * d, d))[:nslots]
-    den *= weights[0]
-    return [(k, field.from_coeffs(den, row)) for k, row in zip(results, sums.tolist()) if any(row)]
+    return _canonical(results, den * weights[0], sums)
 
 
 def _numbered(target: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -533,56 +545,74 @@ def _numbered(target: np.ndarray) -> tuple[list[int], np.ndarray]:
     return hit[:-1].nonzero()[0].tolist(), slot
 
 
-def pair_sums(field: CyclotomicField, xs, ys, target, index, weights: tuple) -> list:
+def label_slots(labels: Sequence) -> tuple[list, list[int]]:
+    """The distinct ``labels`` in increasing order and the position of each
+    label among them: result numbers that keep a combination's labels sorted."""
+    distinct = sorted(set(labels))
+    return distinct, [bisect_left(distinct, label) for label in labels]
+
+
+def pair_sums(field: CyclotomicField, x, y, target, index, weights: tuple) -> tuple:
     """The nonzero sums of x_i * y_j * weights[index[i, j]] over the pairs
-    (i, j) of the CycNums xs, ys, one per result target[i, j] (-1 drops the
-    pair), as (result, CycNum) pairs in increasing result order; target and
-    index are integers of shape (len(xs), len(ys)), as arrays or flat.
-    Weights past the largest index are left out; the products are formed
-    one block of rows at a time."""
-    if not len(xs) or not len(ys):
-        return []
-    shape = len(xs), len(ys)
+    (i, j) of rows of the operands x, y, each (den, plane) as a ``LinComb``
+    stores it, one per result target[i, j] (-1 drops the pair), as
+    (results, den, plane) in increasing result order; target and index are
+    integers of shape (rows of x, rows of y), as arrays or flat.  Weights
+    past the largest index are left out; the products are formed one block
+    of rows at a time."""
+    (dx, a), (dy, b) = x, y
+    if not len(a) or not len(b):
+        return _canonical((), 1, a[:0])
+    shape = len(a), len(b)
     target, index = np.asarray(target).reshape(shape), np.asarray(index).reshape(shape)
     results, slot = _numbered(target)
     planes = weight_planes(weights[: int(index.max()) + 1])
-    (dx, a, ta), (dy, b, tb) = coefficient_plane(field, xs), coefficient_plane(field, ys)
     # Each accumulated coefficient sums at most one product per pair.
-    dtype = sums_dtype(planes, ta * tb * field._mult_bound * len(a) * len(b))
+    dtype = sums_dtype(planes, maxabs(a) * maxabs(b) * field._mult_bound * len(a) * len(b))
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    step = rows_per_block(len(ys))
-    blocks = (slice(i, i + step) for i in range(0, len(xs), step))
+    step = rows_per_block(len(b))
+    blocks = (slice(i, i + step) for i in range(0, len(a), step))
     products = ((slot[target[r]], index[r], plane_products(field, a[r], b)) for r in blocks)
     return weighted_sums(field, results, dx * dy, planes, dtype, products)
 
 
-def term_sums(field: CyclotomicField, xs, ys, row, target) -> list:
-    """The nonzero sums of xs[row[k]] * ys[k] over the CycNums ys, one per
-    result target[k], as (result, CycNum) pairs in increasing result order:
-    each y times its x in one row-wise product, with the weight one."""
-    target = np.asarray(target, dtype=np.intp)
+def term_sums(field: CyclotomicField, x, ys, target) -> tuple:
+    """The nonzero sums of x_i * y over the rows y of ys[i], one (den, plane)
+    operand per row of the operand x, one result target[k] per row k of the
+    ys in order, as (results, den, plane) in increasing result order: each y
+    times its x in one row-wise product, with the weight one."""
+    (dx, a), target = x, np.asarray(target, dtype=np.intp)
+    if not target.size:
+        return _canonical((), 1, a[:0])
     results, slot = _numbered(target)
-    (dx, a, ta), (dy, b, tb) = coefficient_plane(field, xs), coefficient_plane(field, ys)
+    dy, planes = _common(ys)
+    row = np.repeat(np.arange(len(planes)), [len(p) for p in planes])
+    b = np.concatenate(planes)
     weights = weight_planes((field.one,))
-    dtype = sums_dtype(weights, ta * tb * field._mult_bound * len(b))
-    a, b = a[np.asarray(row, dtype=np.intp)].astype(dtype, copy=False), b.astype(dtype, copy=False)
+    dtype = sums_dtype(weights, maxabs(a) * maxabs(b) * field._mult_bound * len(b))
+    a, b = a[row].astype(dtype, copy=False), b.astype(dtype, copy=False)
     values = (b[:, None, :] @ _times(field, a))[:, 0]
     return weighted_sums(field, results, dx * dy, weights, dtype, [(slot[target], 0 * target, values)])
 
 
-def table_sums(field: CyclotomicField, table: np.ndarray, xs, weights: tuple) -> list:
-    """The nonzero sums over s of xs[s] * weights[table[j, s]] for the rows
-    j of an exponent table (-1 reads the zero weight) and the CycNums xs,
-    as (j, CycNum) pairs in increasing j, one block of rows at a time."""
-    den, plane, top = coefficient_plane(field, xs)
+def table_sums(field: CyclotomicField, table: np.ndarray, x, weights: tuple) -> tuple:
+    """The nonzero sums over s of x_s * weights[table[j, s]] for the rows j
+    of an exponent table (-1 reads the zero weight) and the rows x_s of the
+    (den, plane) operand x, as (results, den, plane) in increasing j, one
+    block of table rows at a time."""
+    den, plane = x
     planes = weight_planes(weights)
-    dtype = sums_dtype(planes, top * table.shape[1])
-    step, out = rows_per_block(table.shape[1]), []
-    for i in range(0, len(table), step):
-        block = table[i : i + step]
-        entries = np.arange(len(block))[:, None], block, plane[None].repeat(len(block), axis=0)
-        out += weighted_sums(field, range(i, i + len(block)), den, planes, dtype, [entries])
-    return out
+    dtype = sums_dtype(planes, maxabs(plane) * table.shape[1])
+    step, rows = rows_per_block(table.shape[1]), np.arange(len(table))[:, None]
+    blocks = (slice(i, i + step) for i in range(0, len(table), step))
+    entries = ((rows[r], table[r], plane[None].repeat(len(table[r]), axis=0)) for r in blocks)
+    return weighted_sums(field, range(len(table)), den, planes, dtype, entries)
+
+
+def sum_value(field: CyclotomicField, sums: tuple) -> CycNum:
+    """The CycNum of the one result of ``sums``, zero when it vanished."""
+    results, den, plane = sums
+    return field.from_coeffs(den, plane[0].tolist()) if len(results) else field.zero
 
 
 # ---------------------------------------------------------------------------
@@ -591,30 +621,34 @@ def table_sums(field: CyclotomicField, table: np.ndarray, xs, weights: tuple) ->
 
 
 class LinComb:
-    """A finite linear combination: ``terms`` maps basis keys to nonzero
-    CycNums of ``field``, and ``space`` names where the keys live (the strand
-    count n, or (t, n) for a cell module).
-
-    A subclass checks a key in ``_check_key`` and defines its product.
+    """A finite linear combination over ``field`` of the basis of ``space``
+    (the strand count n, or (t, n) for a cell module), stored as sorted
+    ``labels``, a denominator ``den`` and an integer ``plane``, one row per
+    label (:func:`_canonical`).  A subclass checks a basis key and gives its
+    label in ``_label``, its key in ``_key``, and defines its product.
     Combining two elements raises ``ValueError`` unless they agree in class,
-    space and level.
-    """
+    space and level."""
 
-    __slots__ = ("space", "field", "terms")
+    __slots__ = ("space", "field", "labels", "den", "plane")
 
     def __init__(self, space, field: CyclotomicField, terms: Mapping | None = None):
-        self.space = space
-        self.field = field
-        self.terms: dict = {}
+        self.space, self.field = space, field
+        pairs = []
         for key, c in (terms or {}).items():
-            self._check_key(key)
+            label = self._label(key)
             if c.field.level != field.level:
                 raise ValueError(f"a level-{c.field.level} coefficient at level {field.level}")
             if c:
-                self.terms[key] = c
+                pairs.append((label, c))
+        pairs.sort(key=lambda pair: pair[0])
+        self.labels = tuple(label for label, _ in pairs)
+        self.den, self.plane = coefficient_plane(field, [c for _, c in pairs])
 
-    def _check_key(self, key) -> None:
+    def _label(self, key):
         raise NotImplementedError
+
+    def _key(self, label):
+        return label
 
     def _kind(self) -> tuple:
         """What two combinations must share: (class, space, level)."""
@@ -624,59 +658,75 @@ class LinComb:
         if other._kind() != self._kind():
             raise ValueError(f"cannot combine {self._kind()} with {other._kind()}")
 
-    def _like(self, pairs: Iterable):
-        """A combination in this space from (key, coefficient) pairs whose
-        keys are valid by construction and distinct, zero coefficients
-        dropped, or from a dict of such terms, all nonzero, which it keeps."""
+    def _like(self, labels: Sequence, den: int, plane: np.ndarray, space=None):
+        """A combination like this one (in ``space``) from a stored form."""
         out = object.__new__(type(self))
-        out.space, out.field = self.space, self.field
-        out.terms = pairs if isinstance(pairs, dict) else {key: c for key, c in pairs if c}
+        out.space, out.field = self.space if space is None else space, self.field
+        out.labels, out.den, out.plane = tuple(labels), den, plane
         return out
 
+    def _relabelled(self, space, relabel: Callable):
+        """This combination in ``space``, each label moved by ``relabel``, one to one."""
+        labels = [relabel(label) for label in self.labels]
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        return self._like([labels[k] for k in order], self.den, self.plane[order], space)
+
+    @property
+    def terms(self) -> Mapping:
+        """A read-only basis key -> CycNum mapping in label order, built afresh."""
+        rows = zip(self.labels, self.plane.tolist())
+        return MappingProxyType({self._key(label): self.field.from_coeffs(self.den, row) for label, row in rows})
+
     def coefficient(self, key) -> CycNum:
-        return self.terms.get(key, self.field.zero)
+        label = self._label(key)
+        k = bisect_left(self.labels, label)
+        if k < len(self.labels) and self.labels[k] == label:
+            return self.field.from_coeffs(self.den, self.plane[k].tolist())
+        return self.field.zero
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.labels
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinComb):
             return NotImplemented
-        return other._kind() == self._kind() and other.terms == self.terms
+        same = (other._kind(), other.labels, other.den) == (self._kind(), self.labels, self.den)
+        return same and np.array_equal(other.plane, self.plane)
 
     def __hash__(self) -> int:
-        return hash((self._kind(), frozenset(self.terms.items())))
+        return hash((self._kind(), self.labels, self.den, tuple(self.plane.ravel().tolist())))
 
     def __add__(self, other: LinComb, sign: int = 1):
         if not isinstance(other, LinComb):
             return NotImplemented
         self._check_compatible(other)
-        # Copying a dict reuses its stored hashes; each key of other is
-        # hashed once to read and once to write or delete.
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            c = c if sign > 0 else -c
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            elif s := s + c:
-                out[key] = s
-            else:
-                del out[key]
-        return self._like(out)
+        # Each label of other is hashed once, into the union.
+        labels = sorted(set(self.labels).union(other.labels))
+        den, (a, b) = _common(((self.den, self.plane), (other.den, other.plane)))
+        # Entries of a and b are below 2^62 when int64, so their sums fit.
+        plane = np.zeros((len(labels), self.field.degree), dtype=np.result_type(a, b))
+        plane[[bisect_left(labels, label) for label in self.labels]] = a
+        plane[[bisect_left(labels, label) for label in other.labels]] += sign * b
+        return self._like(*_canonical(labels, den, plane))
 
     def __neg__(self):
-        return self._like((key, -c) for key, c in self.terms.items())
+        return self._like(self.labels, self.den, -self.plane)
 
     def __sub__(self, other: LinComb):
-        # One merge, as for a sum: -other would build and hash its own dict.
+        # One merge, as for a sum.
         return self.__add__(other, -1)
 
     def scale(self, scalar: int | Fraction | CycNum):
-        return self._like((key, c * scalar) for key, c in self.terms.items())
+        c = self.field.zero._coerce(scalar)
+        if c is None:
+            raise TypeError(f"cannot scale by {type(scalar).__name__}")
+        num = np.array(c.num, dtype=object)
+        dtype = int_dtype(maxabs(self.plane) * maxabs(num) * self.field._mult_bound)
+        plane = self.plane.astype(dtype, copy=False) @ _times(self.field, num[None].astype(dtype))[0]
+        return self._like(*_canonical(self.labels, self.den * c.den, plane))
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction, CycNum)):
@@ -732,15 +782,41 @@ def int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def coefficient_plane(field: CyclotomicField, values: Collection[CycNum]) -> tuple[int, np.ndarray, int]:
-    """The common denominator of ``values``, their numerators as an integer
-    plane of shape (len(values), degree), int64 when every entry fits, and
-    its :func:`maxabs`."""
+def coefficient_plane(field: CyclotomicField, values: Collection[CycNum]) -> tuple[int, np.ndarray]:
+    """The least common denominator of ``values`` and their numerators over
+    it as an integer plane of shape (len(values), degree), int64 while every
+    entry is below 2^62.  As each CycNum is normalized, the plane of nonzero
+    values is in the stored form of :func:`_canonical`."""
     den = math.lcm(*(c.den for c in values))
     nums = [c.num if c.den == den else [v * (den // c.den) for v in c.num] for c in values]
-    plane = np.array(nums, dtype=object).reshape(len(nums), field.degree)
-    top = maxabs(plane)
-    return den, plane.astype(int_dtype(top)), top
+    top = max(map(abs, chain.from_iterable(nums)), default=1)
+    return den, np.array(nums, dtype=int_dtype(top)).reshape(len(nums), field.degree)
+
+
+def _common(operands: Sequence[tuple[int, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
+    """The least common denominator of (den, plane) operands and each plane
+    over it: a stored plane as it is, a rescaled one int64 while every entry
+    stays below 2^62."""
+    den = math.lcm(*(d for d, _ in operands))
+    if any(d != den for d, _ in operands):
+        dtype = int_dtype(max(maxabs(p) * (den // d) for d, p in operands))
+        operands = [(d, p.astype(dtype, copy=False) * (den // d)) for d, p in operands]
+    return den, [p for _, p in operands]
+
+
+def _canonical(labels: Sequence, den: int, plane: np.ndarray) -> tuple[tuple, int, np.ndarray]:
+    """The stored form of the terms plane[k] / den at labels[k]: the zero
+    rows dropped, gcd(den, entries) = 1 (so den = 1 with no rows), and the
+    plane int64 while its entries stay below 2^62, Python integers from
+    there on.  Equal combinations have equal stored forms."""
+    keep = plane.any(axis=1)
+    if not keep.all():
+        labels, plane = [label for label, k in zip(labels, keep.tolist()) if k], plane[keep]
+    # With no rows g = den; otherwise g divides a nonzero entry of the plane.
+    g = math.gcd(den, int(np.gcd.reduce(plane.ravel()))) if den > 1 else 1
+    if g > 1:
+        den, plane = den // g, plane // g if len(plane) else plane
+    return tuple(labels), den, plane.astype(int_dtype(maxabs(plane)), copy=False)
 
 
 def plane_products(field: CyclotomicField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -760,7 +836,7 @@ def weight_planes(weights: tuple[CycNum, ...]) -> tuple[int, np.ndarray, int]:
     zeta^j * w_l over it and their largest absolute entry: the weights of
     :func:`weighted_sums`, the numerators of ``weights`` and then zero."""
     field = weights[0].field
-    den, rows, _ = coefficient_plane(field, weights)
+    den, rows = coefficient_plane(field, weights)
     rows = np.concatenate((rows, np.zeros((1, field.degree), dtype=object)))
     out = plane_products(field, rows, np.eye(field.degree, dtype=object))
     out = out.astype(int_dtype(maxabs(out)))

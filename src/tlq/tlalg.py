@@ -8,13 +8,15 @@ so that ``(x * y) . v = x . (y . v)`` for the cell action defined in
 :mod:`tlq.cellrep`.  One closed loop removed during stacking contributes one
 factor of delta = -(q + 1/q).
 
-``TLElement`` is a :class:`tlq.exactnum.LinComb`.  Its product, its trace
-and the check that the trace kills the Jones-Wenzl ideal are exact sums of
-:mod:`tlq.exactnum`, weighted by the powers of delta, which return the
-nonzero sums as CycNums.  A product hands the result and loop count of each
-pair to :func:`tlq.exactnum.pair_sums`: up to n = ``PRODUCTS_MAX_N`` read
-in one gather from the product table of ``diagram_basis(0, 2n)``, past it
-composed, the composites numbered as met.  The trace is one
+``TLElement`` is a :class:`tlq.exactnum.LinComb` labelled by pairings.
+Its product, its trace and the check that the trace kills the Jones-Wenzl
+ideal are exact sums of :mod:`tlq.exactnum`, weighted by the powers of
+delta, on the stored coefficient planes; a product's sums are its stored
+form, so no CycNum and no ``Diagram`` is built per result.  A product hands
+the result and loop count of each pair to :func:`tlq.exactnum.pair_sums`:
+up to n = ``PRODUCTS_MAX_N`` read in one gather from the product table of
+``diagram_basis(0, 2n)``, past it composed, the composites numbered in
+increasing order.  The trace is one
 :func:`tlq.exactnum.table_sums` call on a one-row table of closure loops:
 the identity's column of the meander matrix M (``cell_exponents``), and
 past the cutoff each closure walked, so neither the product nor the trace
@@ -60,7 +62,7 @@ from .diagram import (
     identity_pairing,
     nesting_forest,
     rotate_to_flat,
-    star,
+    star_pairing,
     tl_basis,
 )
 from .exactnum import (
@@ -70,11 +72,13 @@ from .exactnum import (
     LinComb,
     cyclotomic_field,
     delta_ring,
+    label_slots,
     mod_p_image,
     pair_sums,
     plane_rank,
     powers,
     quantum_int,
+    sum_value,
     table_sums,
 )
 
@@ -94,9 +98,13 @@ class TLElement(LinComb):
 
     n = property(lambda self: self.space)
 
-    def _check_key(self, d: Diagram) -> None:
+    def _label(self, d: Diagram) -> tuple[int, ...]:
         if d.src != self.n or d.dst != self.n:
             raise ValueError("diagram does not live in TL_n")
+        return d.pairing
+
+    def _key(self, pairing: tuple[int, ...]) -> Diagram:
+        return Diagram._trusted(self.n, self.n, pairing)
 
     # -- constructors ---------------------------------------------------
 
@@ -122,44 +130,40 @@ class TLElement(LinComb):
         if not isinstance(other, LinComb):
             return NotImplemented
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return self._like(())
+        if not self or not other:
+            return self.scale(0)
         n, field = self.n, self.field
         # "apply y, then x": stack x on top of y, as the table's D_i D_j does.
         if n <= PRODUCTS_MAX_N:
             basis = diagram_basis(0, 2 * n)
-            px, py = ([basis.index[d.pairing] for d in e.terms] for e in (self, other))
+            px, py = ([basis.index[p] for p in e.labels] for e in (self, other))
             target, loops = (table[np.ix_(px, py)] for table in basis.products)
             pairings = basis.pairings
         else:
-            pairs = ((a.pairing, b.pairing) for a in self.terms for b in other.terms)
-            composed = [compose_pairings(n, n, n, pb, pa) for pa, pb in pairs]
-            met: dict[tuple[int, ...], int] = {}
-            target = [met.setdefault(pairing, len(met)) for pairing, _ in composed]
+            composed = [compose_pairings(n, n, n, pb, pa) for pa in self.labels for pb in other.labels]
+            pairings, target = label_slots([pairing for pairing, _ in composed])
             loops = [l for _, l in composed]
-            pairings = list(met)
         # A loop closed in the glued row passes through two of its n points.
-        sums = pair_sums(
-            field, self.terms.values(), other.terms.values(), target, loops,
+        results, den, plane = pair_sums(
+            field, (self.den, self.plane), (other.den, other.plane), target, loops,
             powers(field.delta, n // 2),
         )
-        return self._like((Diagram._trusted(n, n, pairings[k]), c) for k, c in sums)
+        return self._like([pairings[k] for k in results], den, plane)
 
     def star(self) -> TLElement:
         """The * anti-automorphism: reflect every diagram, keep coefficients."""
-        return self._like((star(d), c) for d, c in self.terms.items())
+        return self._relabelled(self.n, lambda p: star_pairing(2 * self.n, p))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"({c!r})*{d.pairing}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].pairing)]
-        return " + ".join(parts)
+        return " + ".join(f"({c!r})*{d.pairing}" for d, c in self.terms.items()) or "0"
 
 
 @lru_cache(maxsize=None)
-def _delta_inverse_power(field: CyclotomicField, n: int) -> CycNum:
-    """delta^(-n), the normalization of the Markov trace on TL_n."""
-    return powers(field.delta, n)[n].inverse()
+def _trace_weights(field: CyclotomicField, n: int) -> tuple[CycNum, ...]:
+    """delta^(c - n) for c = 0 .. n: the Markov trace of a diagram of TL_n
+    whose closure has c loops."""
+    dinv = powers(field.delta, n)[n].inverse()
+    return tuple(w * dinv for w in powers(field.delta, n))
 
 
 def generator(n: int, i: int, level: int) -> TLElement:
@@ -171,35 +175,25 @@ def embed(x: TLElement, n: int) -> TLElement:
     """x (x) id^(n-m): juxtapose identity strands on the right."""
     if x.n > n:
         raise ValueError("cannot embed into fewer strands")
-    if x.n == n:
-        return x
-    return TLElement(
-        n,
-        x.field,
-        {
-            Diagram._trusted(n, n, embed_pairing(x.n, n, d.pairing)): c
-            for d, c in x.terms.items()
-        },
-    )
+    return x._relabelled(n, lambda p: embed_pairing(x.n, n, p))
 
 
 def jones_trace(x: TLElement) -> CycNum:
     """The Markov trace: each diagram D contributes delta^(c(D) - n) where
     c(D) counts the closed loops of the right-hand closure of D."""
     n, field = x.n, x.field
-    if not x.terms:
+    if not x:
         return field.zero
     if n <= PRODUCTS_MAX_N:
         # c(D) is the identity's column of the meander matrix: D closed by the
         # identity's nested arcs is the Markov closure of D.
         basis = diagram_basis(0, 2 * n)
-        pos = [basis.index[d.pairing] for d in x.terms]
+        pos = [basis.index[p] for p in x.labels]
         closure = basis.cell_exponents[pos, basis.index[identity_pairing(n)]]
     else:
-        closure = np.array([closure_loops(n, d.pairing) for d in x.terms], dtype=np.intp)
-    # One row: the sum of c_D delta^c(D), each loop count c <= n.
-    total = dict(table_sums(field, closure[None], x.terms.values(), powers(field.delta, n)))
-    return total.get(0, field.zero) * _delta_inverse_power(field, n)
+        closure = np.array([closure_loops(n, p) for p in x.labels], dtype=np.intp)
+    # One row: the sum of c_D delta^(c(D) - n), each loop count c <= n.
+    return sum_value(field, table_sums(field, closure[None], (x.den, x.plane), _trace_weights(field, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +262,7 @@ def trace_gram_matrix(level: int, n: int) -> ExactMatrix:
     plus the closure loops of D D'.  Exact; for moderate n."""
     field = cyclotomic_field(level)
     # A closed picture on 2n points has at most n loops.
-    dinv_n = _delta_inverse_power(field, n)
-    scaled = [p * dinv_n for p in powers(field.delta, n)]
+    scaled = _trace_weights(field, n)
     basis = diagram_basis(0, 2 * n)
     targets, loops = basis.product_columns(range(len(basis.pairings)))
     expo = loops + basis.cell_exponents[targets, basis.index[identity_pairing(n)]]
@@ -292,10 +285,11 @@ def _assert_trace_kills_ideal(level: int, n: int):
     cyclicity this puts the whole ideal <E> inside the radical of tr."""
     ej = embedded_jones_wenzl(level, n)
     field, basis = ej.field, diagram_basis(0, 2 * n)
-    cols = basis.cell_exponents[:, [basis.index[d.pairing] for d in ej.terms]]
+    cols = basis.cell_exponents[:, [basis.index[p] for p in ej.labels]]
     # tr(E D_star(y)) = delta^(-n) sum_e c_e delta^M[y, e] for the meander
     # matrix M, whose entries are at most n; y runs over every diagram.
-    if table_sums(field, cols, ej.terms.values(), powers(field.delta, n)):
+    results, _, _ = table_sums(field, cols, (ej.den, ej.plane), powers(field.delta, n))
+    if results:
         raise ArithmeticError(f"tr(E y) != 0 at level={level}, n={n}: radical theorem violated")
 
 
@@ -313,7 +307,7 @@ def _row_sums(targets: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
 
 
 def _ideal_span_rank_modp(
-    level: int, n: int, p: int, image: Callable[[CycNum], int], target: int
+    level: int, n: int, p: int, image: Callable, target: int
 ) -> int:
     """Mod-p rank of the two-sided ideal <E>, an exact lower bound for its
     dimension.  Phase one spans the left ideals L = TL_n E and TL_n E f_(l-1):
@@ -331,8 +325,8 @@ def _ideal_span_rank_modp(
     ech = _intlinalg.ModpEchelon(size, p)
     for x in [ej] + ([ej * generator(n, level - 1, level)] if n >= level else []):
         done = ech.rank
-        targets, loops = basis.product_columns([basis.index[d.pairing] for d in x.terms])
-        coeffs = np.array([image(c) for c in x.terms.values()], dtype=np.float64)
+        targets, loops = basis.product_columns([basis.index[p] for p in x.labels])
+        coeffs = image(x).astype(np.float64)
         for r in range(0, size, chunk):
             terms = _intlinalg._mod(coeffs * weight[loops[r : r + chunk]], p)
             ech.add_rows(_row_sums(targets[r : r + chunk], terms, size))

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
+
+import oracles
 
 from tlq.cellrep import (
     CellVector,
@@ -20,7 +23,7 @@ from tlq.cellrep import (
     simple_dim_rank,
 )
 from tlq.combinatorics import w_dim
-from tlq.diagram import Diagram, enumerate_monic
+from tlq.diagram import Diagram, diagram_basis, enumerate_monic
 from tlq.exactnum import cyclotomic_field, rank_by_columns
 from tlq.tlalg import TLElement, embedded_jones_wenzl, generator
 
@@ -244,3 +247,26 @@ def test_annihilation_matches_classification():
         for n in range(level - 1, 9):
             for t in admissible_t(n):
                 assert annihilation_check(t, n, level) == (t <= level - 2), (level, n, t)
+
+
+def test_cell_pairing_at_w0_18_builds_no_form_table():
+    # W_0(18) has 4862 diagrams, so its cell form table would be 4862^2
+    # int16 entries (47 MB); the pairing composes the pairs of the supports.
+    field = cyclotomic_field(5)
+    basis = diagram_basis(0, 18)
+    rng = random.Random(18)
+    v, w = (
+        CellVector(0, 18, field, {
+            Diagram(0, 18, basis.pairings[i]): field.from_int(rng.randint(1, 9))
+            for i in (0, rng.randrange(len(basis.pairings)), len(basis.pairings) - 1)
+        })
+        for _ in range(2)
+    )
+    tracemalloc.start()
+    try:
+        value = cell_pairing(v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    assert value == oracles.cell_pairing(v, w)

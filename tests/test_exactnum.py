@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import euclid_inverse, fraction_det, fraction_rank, q_poly_by_powers, quantum_int_by_ratio
 from tlq import _intlinalg, exactnum
-from tlq.diagram import Diagram, hook_poly, nesting_forest
+from tlq.diagram import Diagram, hook_poly, nesting_forest, tl_basis
 from tlq.exactnum import (
     CycNum,
     ExactMatrix,
@@ -415,6 +415,7 @@ def test_trace_gram_rank_example():
 def test_exactness_guards_raise_without_assert():
     # Runs under python -O, which strips assert: the exactness checks here,
     # the int64 bounds and the edge paths of the product-sum step, the
+    # stored form of a combination and its merges across the int64 bound, the
     # table-based kill check of radical_split, its retry paths, the sum
     # bounds of its ideal step and the guards of the cell-form, product and
     # phi walks must all still raise, and the reduction mod p stays exact.
@@ -423,7 +424,7 @@ def test_exactness_guards_raise_without_assert():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for module, selection in (
         (Path(__file__).resolve(), "inverse or norm or divexact or plane_rank or delta_ring"),
-        (root / "tests" / "test_lincomb.py", "int64_bound or pair_sums_edge"),
+        (root / "tests" / "test_lincomb.py", "int64_bound or pair_sums_edge or stored_form or merge_bound"),
         (root / "tests" / "test_tlalg.py", (
             "broken_idempotent or retries or every_prime_fails or past_the_int64_bound"
             " or fiber_bound or column_sum_bound or row_sums_bound"
@@ -543,3 +544,29 @@ def test_mod_p_image_is_a_ring_homomorphism(level):
         image(vanishing)
     with pytest.raises(ValueError):
         image(cyclotomic_field(level + 1).one)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_mod_p_image_of_a_combination_is_its_coefficient_images(level):
+    # One step on the stored plane, int64 or Python integers, is the image of
+    # each coefficient in label order.
+    from tlq.tlalg import TLElement
+
+    field = cyclotomic_field(level)
+    p = next(_intlinalg.working_primes(order=2 * level))
+    image = mod_p_image(level, p)
+    rng = random.Random(3 * level)
+    basis = tl_basis(4)
+    for bits in (3, 61, 90):
+        x = TLElement(4, field, {
+            d: field.from_coeffs(rng.choice((1, 3, 2**61 - 1)), [rng.randint(-(2**bits), 2**bits) for _ in range(field.degree)])
+            for d in rng.sample(basis, 10)
+        })
+        residues = image(x)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [image(c) for c in x.terms.values()]
+    assert image(TLElement.zero(4, level)).tolist() == []
+    with pytest.raises(ArithmeticError, match="denominator"):
+        image(TLElement(4, field, {basis[0]: field.from_coeffs(p, [1] + [0] * (field.degree - 1))}))
+    with pytest.raises(ValueError):
+        image(TLElement.one(4, level + 1))

@@ -6,9 +6,12 @@ elements, cell vectors and blades."""
 from __future__ import annotations
 
 import inspect
+import math
 import random
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -16,7 +19,7 @@ from tlq import cellrep, clifford, exactnum, tlalg
 from tlq.cellrep import CellVector, admissible_t, cell_action, cell_pairing
 from tlq.clifford import BladeElement, gamma, phi
 from tlq.diagram import Diagram, diagram_basis, enumerate_monic, tl_basis
-from tlq.exactnum import cyclotomic_field
+from tlq.exactnum import CycNum, LinComb, cyclotomic_field
 from tlq.tlalg import TLElement, generator, jones_trace
 
 LEVELS = (3, 4, 5, 6, 7, 8)
@@ -309,9 +312,20 @@ def test_pair_sums_edge_empty_operands():
     check(phi(p).is_zero() and phi(p) == oracles.phi(p), "phi")
 
 
+class CountedPairing(tuple):
+    """A pairing label that records each hash of itself."""
+
+    calls: list = []
+
+    def __hash__(self):
+        CountedPairing.calls.append(self)
+        return tuple.__hash__(self)
+
+
 def _right_operand_hashes(monkeypatch, sign):
     """x + y (sign 1) or x - y (sign -1) for 40- and 30-term elements of TL_6,
-    checked against the per-key sum, and its Diagram hash calls per term of y."""
+    checked against the per-key sum, and its hash calls per label of y; the
+    merge must build no Diagram."""
     rng = random.Random(6)
     level = 5
     field = cyclotomic_field(level)
@@ -320,22 +334,23 @@ def _right_operand_hashes(monkeypatch, sign):
     terms = {d: big_coefficient(field, rng) for d in rng.sample(basis, 30)}
     # Ten terms of y cancel terms of x.
     terms.update({d: -sign * c for d, c in list(x.terms.items())[:10]})
-    y = TLElement(6, field, terms)
+    # y's labels count their hashes.
+    y = TLElement(6, field, {Diagram._trusted(6, 6, CountedPairing(d.pairing)): c for d, c in terms.items()})
     expected = {d: x.coefficient(d) + sign * y.coefficient(d) for d in {*x.terms, *y.terms}}
     expected = {d: c for d, c in expected.items() if c}
-    real = Diagram.__hash__
-    calls = []
-
-    def counted(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Diagram, "__hash__", counted)
+    monkeypatch.setattr(Diagram, "_trusted", _raise_built)
+    monkeypatch.setattr(Diagram, "__post_init__", _raise_built)
+    CountedPairing.calls.clear()
     result = x + y if sign > 0 else x - y
+    calls = len(CountedPairing.calls)
     monkeypatch.undo()
     assert result.terms == expected and all(result.terms.values())
     assert result == (y + x if sign > 0 else -(y - x))
-    return len(calls) / len(y.terms)
+    return calls / len(y.labels)
+
+
+def _raise_built(*args):
+    raise AssertionError("a Diagram was built")
 
 
 def test_sum_hashes_each_key_of_the_right_operand_at_most_twice(monkeypatch):
@@ -409,3 +424,170 @@ def test_linear_operations_keep_the_space():
         assert s.coefficient(d) == v.coefficient(d) + w.coefficient(d)
     b = random_blade(4, rng, 5)
     assert (b - b).is_zero() and (-b).n == 4 and b.constant_term() == b.coefficient(0)
+
+
+# The stored form (sorted labels, a positive denominator and one integer
+# plane) after every operation, across the int64 bound.  Raises, not
+# asserts: these tests also run under -O.
+
+
+def check_stored(e) -> None:
+    """The labels increase, the plane has one nonzero row per label,
+    gcd(den, entries) = 1, and the plane is int64 exactly while its entries
+    are below 2^62, Python integers otherwise."""
+    plane = e.plane
+    check(list(e.labels) == sorted(set(e.labels)), "labels out of order")
+    check(e.den > 0 and plane.shape == (len(e.labels), e.field.degree), "shape")
+    check(bool(plane.any(axis=1).all()), "a zero row")
+    check(math.gcd(e.den, *plane.ravel().tolist()) == 1, "a common factor")
+    check(plane.dtype == (np.int64 if exactnum.maxabs(plane) < 2**62 else object), plane.dtype)
+
+
+def per_key(x, y, op) -> dict:
+    """op on the coefficients of x and y key by key, zeros dropped."""
+    out = {d: op(x.coefficient(d), y.coefficient(d)) for d in {*x.terms, *y.terms}}
+    return {d: c for d, c in out.items() if c}
+
+
+def test_stored_form_holds_only_labels_den_and_plane():
+    check(LinComb.__slots__ == ("space", "field", "labels", "den", "plane"), LinComb.__slots__)
+    rng = random.Random(3)
+    field = cyclotomic_field(5)
+    x, y = random_tl_element(5, 5, rng), random_tl_element(5, 5, rng)
+    check(not hasattr(x, "__dict__"), "an instance dict")
+    check(x.terms is not x.terms and x.terms == x.terms, "terms is kept")
+    try:
+        x.terms[next(iter(x.terms))] = field.one
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("terms is writable")
+    # Every route to one combination stores one form, so equal means equal
+    # arrays and hashes.
+    halves = TLElement(5, field, {d: field.from_fraction(Fraction(1, k)) for k, d in zip((2, 3, 4), x.terms)})
+    check(halves.den == 12 and halves.scale(12).den == 1, halves.den)
+    routes = [
+        (x + y) - y, -(-x), x.scale(field.delta).scale(field.delta.inverse()),
+        x.scale(2**70).scale(Fraction(1, 2**70)), halves.scale(Fraction(1, 7)).scale(7) - halves + x,
+    ]
+    for z in routes:
+        check_stored(z)
+        check(z == x and hash(z) == hash(x) and z.den == x.den and z.plane.dtype == x.plane.dtype, z)
+        check(np.array_equal(z.plane, x.plane) and z.labels == x.labels, z)
+    for zero in (x - x, x.scale(0), x + (-x), TLElement(5, field, {d: field.zero for d in x.terms})):
+        check_stored(zero)
+        check(zero.labels == () and zero.den == 1 and zero.plane.dtype == np.int64, zero.den)
+        check(zero == TLElement.zero(5, 5) and hash(zero) == hash(TLElement.zero(5, 5)), "zero")
+    # A cancelled term leaves no zero row behind.
+    d = next(iter(y.terms))
+    z = y - TLElement(5, field, {d: y.coefficient(d)})
+    check_stored(z)
+    check(d.pairing not in z.labels and len(z.labels) == len(y.labels) - 1, "cancelled term")
+
+
+@pytest.mark.parametrize("level", (4, 5))
+def test_merge_bound_of_sums_and_differences(level):
+    # Stored planes on both sides of 2^62: their sum, a rescaling to a common
+    # denominator past it, and cancellations that come back below it.
+    field = cyclotomic_field(level)
+    basis = tl_basis(4)
+    top = 2**62 - 1
+    at_bound = TLElement(4, field, {d: field.from_coeffs(1, [top] * field.degree) for d in basis[:3]})
+    below = TLElement(4, field, {d: field.from_coeffs(1, [top - 1] * field.degree) for d in basis[1:4]})
+    past = at_bound.scale(2**40)
+    thirds = TLElement(4, field, {d: field.from_coeffs(3, [1] * field.degree) for d in basis[2:]})
+    near = TLElement(4, field, {d: field.from_coeffs(1, [2**61] * field.degree) for d in basis[:2]})
+    check(at_bound.plane.dtype == below.plane.dtype == near.plane.dtype == np.int64, "int64 operands")
+    check(past.plane.dtype == object, "Python-integer operand")
+    pairs = [
+        (at_bound, at_bound), (at_bound, below), (below, at_bound), (at_bound, past),
+        (past, at_bound), (near, thirds), (thirds, near), (past, past.scale(-1)),
+        (past, at_bound.scale(2**40 - 1)), (near, near.scale(-1) + thirds),
+    ]
+    for x, y in pairs:
+        for z, op in ((x + y, lambda a, b: a + b), (x - y, lambda a, b: a - b)):
+            check_stored(z)
+            check(dict(z.terms) == per_key(x, y, op), (x.plane.dtype, y.plane.dtype))
+    # The sums reach each side of the bound: 2 (2^62 - 1) is past it, and
+    # (x + y) - y comes back.
+    check((at_bound + at_bound).plane.dtype == object, "sum past 2^62")
+    check(((at_bound + at_bound) - at_bound).plane.dtype == np.int64, "difference below 2^62")
+    check((near + thirds).plane.dtype == object and (near + thirds).den == 3, "rescaled past 2^62")
+
+
+@pytest.mark.parametrize("level", (4, 5))
+def test_merge_bound_of_scale_and_the_sums(level):
+    field = cyclotomic_field(level)
+    rng = random.Random(10 + level)
+    basis = tl_basis(4)
+    x = TLElement(4, field, {d: field.from_coeffs(1, [rng.randint(-(2**31), 2**31) for _ in range(field.degree)]) for d in basis})
+    dtypes = set()
+    for bits in (2, 20, 27, 28, 29, 30, 31, 40):
+        c = field.from_coeffs(rng.choice((1, 3)), [rng.choice((-1, 1)) * 2**bits for _ in range(field.degree)])
+        for z, oracle in ((x.scale(c), {d: v * c for d, v in x.terms.items()}), (c * x, None)):
+            check_stored(z)
+            check(dict(z.terms) == (oracle if oracle is not None else dict(x.scale(c).terms)), bits)
+            dtypes.add(z.plane.dtype)
+    check(dtypes == {np.dtype(np.int64), np.dtype(object)}, dtypes)
+    # The sums: Python-integer operands whose product is small, and int64
+    # operands whose product is past 2^62, against the per-term oracles.
+    big = field.from_coeffs(1, [2**70] + [0] * (field.degree - 1))
+    f1, f2 = generator(4, 1, level), generator(4, 2, level)
+    cases = [(f1.scale(big), (f2 + f1).scale(big.inverse())), (x, x), (x.scale(2**31), x), (x, f1.scale(big))]
+    for a, b in cases:
+        ab = a * b
+        check_stored(ab)
+        check(ab == oracles.tl_product(a, b), "product")
+        check(jones_trace(a) == oracles.markov_trace(a), "trace")
+    check(cases[0][0].plane.dtype == object and (cases[0][0] * cases[0][1]).plane.dtype == np.int64, "back to int64")
+    check((x * x.scale(2**31)).plane.dtype == object, "past 2^62")
+    if level == 4:
+        p = phi(cases[0][0])
+        check_stored(p)
+        check(p == oracles.phi(cases[0][0]), "phi")
+
+
+def test_products_and_sums_build_no_cycnum_or_diagram_per_result(monkeypatch):
+    # The stored form passes through: only the trace builds a CycNum, its
+    # value, and no route builds a Diagram.
+    rng = random.Random(9)
+    level = 4
+    field = cyclotomic_field(level)
+    x6, y6 = (random_tl_element(6, level, rng, size=12) for _ in range(2))
+    x9, y9 = (random_tl_element(9, level, rng, size=4) for _ in range(2))
+    v = random_cell_vector(2, 6, level, rng)
+    a, b = random_blade(6, rng, 5), random_blade(6, rng, 5)
+    c = big_coefficient(field, rng)
+    routes = {
+        "TL_6 product": lambda: x6 * y6,
+        "TL_9 product": lambda: x9 * y9,
+        "sum": lambda: x6 + y6,
+        "difference": lambda: x6 - y6,
+        "scale": lambda: x6.scale(c),
+        "cell action": lambda: cell_action(x6, v),
+        "blade product": lambda: a * b,
+        "phi": lambda: phi(x6),
+        "trace": lambda: jones_trace(x6 * y6),
+    }
+    expected = {name: route() for name, route in routes.items()}  # builds the tables
+    made, built = [], []
+    real_make, real_trusted = CycNum._make, Diagram._trusted
+
+    def make(*args):
+        made.append(args)
+        return real_make(*args)
+
+    def trusted(cls, *args):
+        built.append(args)
+        return real_trusted(*args)
+
+    monkeypatch.setattr(CycNum, "_make", staticmethod(make))
+    monkeypatch.setattr(Diagram, "_trusted", classmethod(trusted))
+    for name, route in routes.items():
+        made.clear()
+        built.clear()
+        result = route()
+        assert not built, name
+        assert len(made) == (name == "trace"), (name, len(made))
+        assert result == expected[name], name
+    assert expected["trace"] == oracles.markov_trace(oracles.tl_product(x6, y6))
